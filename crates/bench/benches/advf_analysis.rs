@@ -1,7 +1,6 @@
 //! Micro-bench: throughput of the analytical aDVF pipeline (operation
 //! rules + propagation replay, no deterministic fault injection) on the
-//! trace engine's two reference workloads, plus the sharded per-site
-//! variant that fans the same analysis out over worker threads.
+//! trace engine's two reference workloads.
 
 use moard_bench::micro::{bench, black_box};
 use moard_bench::smoke::{smoke_config, smoke_workloads};
@@ -22,15 +21,6 @@ fn main() {
             || {
                 let analyzer = AdvfAnalyzer::new(&wl.trace, config.clone());
                 black_box(analyzer.analyze(wl.object, wl.object_name, &wl.workload, None));
-            },
-        );
-        bench(
-            &format!("advf_analysis/{}_sharded_x4", wl.key),
-            2,
-            10,
-            || {
-                let analyzer = AdvfAnalyzer::new(&wl.trace, config.clone());
-                black_box(analyzer.analyze_sharded(wl.object, wl.object_name, &wl.workload, 4));
             },
         );
     }

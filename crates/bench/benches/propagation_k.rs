@@ -3,12 +3,12 @@
 //!
 //! The propagating seed is found through the trace's per-object record
 //! index (no linear scan over the full record list), and the replays share
-//! one reusable [`ReplayCursor`], mirroring how the analyzer drives the
-//! engine.
+//! one reusable [`ReplayEngine`], mirroring how the analyzer drives the
+//! engine (here with a single lane per walk).
 
 use moard_bench::micro::{bench, black_box};
 use moard_bench::smoke::propagation_seeds;
-use moard_core::ReplayCursor;
+use moard_core::{BatchLane, ReplayEngine};
 use moard_vm::{run_traced, Vm};
 use moard_workloads::{npb::Cg, Workload};
 
@@ -24,10 +24,14 @@ fn main() {
         propagation_seeds(&trace, obj, 1).into_iter().next()
     });
     let (start, corrupt) = seed.expect("found a propagating site");
-    let mut cursor = ReplayCursor::new(&trace);
+    let lane = [BatchLane { start, corrupt }];
+    let mut engine = ReplayEngine::new(&trace);
+    let mut out = Vec::with_capacity(1);
     for k in [5usize, 10, 25, 50, 100] {
         bench(&format!("propagation_k/k={k}"), 5, 20, || {
-            black_box(cursor.replay(start, &corrupt, k));
+            out.clear();
+            engine.replay_lanes(&lane, k, &mut out);
+            black_box(out[0]);
         });
     }
 }

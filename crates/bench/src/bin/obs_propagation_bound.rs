@@ -9,7 +9,7 @@
 //! masks them within k, and compares with the deterministic-injection verdict.
 
 use moard_bench::{harness_or_exit, print_header, unwrap_or_exit, Effort};
-use moard_core::{analyze_operation, ErrorPattern, OpVerdict, ReplayCursor};
+use moard_core::{analyze_operation, BatchLane, ErrorPattern, OpVerdict, ReplayEngine};
 use moard_vm::OutcomeClass;
 
 fn main() {
@@ -31,8 +31,9 @@ fn main() {
         for wl in workloads {
             let harness = harness_or_exit(wl);
             // Sites are enumerated through the per-object trace index, and
-            // one cursor's replay buffers are reused across all of them.
-            let mut cursor = ReplayCursor::new(harness.trace());
+            // one engine's replay buffers are reused across all of them.
+            let mut engine = ReplayEngine::new(harness.trace());
+            let mut prop = Vec::with_capacity(1);
             for object in harness.workload().target_objects() {
                 let sites = unwrap_or_exit(harness.sites(object));
                 let stride = (sites.len() / per_object).max(1);
@@ -45,8 +46,13 @@ fn main() {
                         OpVerdict::OvershadowCandidate { corrupt } => corrupt,
                         _ => continue,
                     };
-                    let prop = cursor.replay(site.record_id as usize + 1, &corrupt, k);
-                    if prop.is_masked() {
+                    let lane = BatchLane {
+                        start: site.record_id as usize + 1,
+                        corrupt,
+                    };
+                    prop.clear();
+                    engine.replay_lanes(&[lane], k, &mut prop);
+                    if prop[0].is_masked() {
                         continue;
                     }
                     not_masked_within_k += 1;

@@ -292,30 +292,6 @@ pub fn run_suite() -> SmokeReport {
             black_box(analyzer.analyze(mm.object, mm.object_name, &mm.workload, None));
         },
     ));
-    // The lane-batched replay engine, pinned to the full 64-lane width so
-    // these cases keep gating the batched hot path even if the analyzer's
-    // default ever changes: the same analytic PF analysis and multi-bit MM
-    // analysis as above, with up to 64 (site, pattern) replays sharing each
-    // trace walk.  Their baseline entries carry `pre_pr_median_ns` from the
-    // sequential engine's committed medians, so the report materializes the
-    // batching speedup directly.
-    let batched = moard_core::ReplayBatch::width(64);
-    let pf = &workloads[1];
-    assert_eq!(pf.key, "pf", "the suite's second workload is PF");
-    benches.push(bench("advf_batch/pf", ADVF_WARMUP, 10, || {
-        let analyzer = AdvfAnalyzer::new(&pf.trace, config.clone()).with_replay_batch(batched);
-        black_box(analyzer.analyze(pf.object, pf.object_name, &pf.workload, None));
-    }));
-    benches.push(bench(
-        "advf_batch/mm/adjacent-bits:2",
-        ADVF_WARMUP,
-        10,
-        || {
-            let analyzer =
-                AdvfAnalyzer::new(&mm.trace, multibit.clone()).with_replay_batch(batched);
-            black_box(analyzer.analyze(mm.object, mm.object_name, &mm.workload, None));
-        },
-    ));
     // The out-of-core hot path: the same analytic PF analysis as
     // `advf_analysis/pf`, but streamed through the paged trace backend —
     // segment decode, checksum verification, and the per-reader LRU are

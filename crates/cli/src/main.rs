@@ -3,8 +3,8 @@
 //! Subcommands:
 //!
 //! * `moard list` — Table I plus case studies and ABFT variants;
-//! * `moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N]
-//!   [--no-dfi] [--seq]` — aDVF analysis with the three-level and
+//! * `moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi
+//!   N|unbounded] [--no-dfi] [--seq]` — aDVF analysis with the three-level and
 //!   operation-kind breakdowns;
 //! * `moard report <workload> [object...]` — the full serialized session
 //!   report (always JSON);
@@ -69,28 +69,28 @@ macro_rules! out {
 
 const USAGE: &str = "usage: moard [--format json|text] <command> [args]
   moard list
-  moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--seq] [--trace-backend B] [--replay-batch N|off]
-  moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--trace-backend B] [--replay-batch N|off]
+  moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N|unbounded]
+                [--patterns P] [--no-dfi] [--seq] [--trace-backend B]
+  moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N|unbounded]
+                [--patterns P] [--no-dfi] [--trace-backend B]
   moard sweep   [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N,N...] [--stride N,N...] [--max-dfi N|unbounded,...]
                 [--patterns P,P...] [--no-dfi]
                 [--rfi-tests N,N...] [--rfi-seed N] [--store DIR] [--resume]
-                [--seq | --threads N] [--trace-backend B] [--replay-batch N|off]
+                [--seq | --threads N] [--trace-backend B]
   moard validate [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N] [--stride N] [--max-dfi N|unbounded] [--patterns P] [--no-dfi]
                 [--confidence 90|95|99] [--margin F] [--max-trials N] [--seed N]
                 [--tolerance F] [--store DIR] [--resume] [--seq | --threads N]
-                [--emit-scenarios DIR] [--trace-backend B] [--replay-batch N|off]
+                [--emit-scenarios DIR] [--trace-backend B]
   moard inject  <workload> <object> [--tests N] [--seed N] [--patterns P]
                 [--exhaustive] [--budget N]
   moard minimize <workload> <object> [--report FILE] [--site REC:SLOT]
                 [--mask b+b...] [--window N] [--stride N] [--patterns P]
                 [--expect CLASS] [--seed N] [--name NAME] [--emit-scenario DIR]
-  moard rank    <workload> [--k N] [--stride N] [--max-dfi N] [--patterns P]
+  moard rank    <workload> [--k N] [--stride N] [--max-dfi N|unbounded] [--patterns P]
   moard serve   [--addr HOST:PORT] [--port N] [--threads N] [--store DIR]
-                [--trace-backend B] [--replay-batch N|off]
+                [--trace-backend B]
   moard client  <ping|metrics|cancel <job>|shutdown> --addr HOST:PORT
   moard client  <analyze|sweep|validate|minimize> --addr HOST:PORT
                 [--priority low|normal|high] [job flags as for the local
@@ -99,7 +99,9 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
 options:
   --format json|text   output format (default: text; `report` is always JSON)
   --stride N           analyze every N-th participation site (default 4)
-  --max-dfi N          cap deterministic fault injections per object (default 5000)
+  --max-dfi N|unbounded
+                       cap deterministic fault injections per object (default
+                       5000); `unbounded` lifts the cap
   --k N                propagation window (default 50)
   --patterns P         error-pattern set: single-bit (default),
                        adjacent-bits:N (N-bit bursts, paper sec. VII-B),
@@ -110,10 +112,6 @@ options:
   --trace-backend B    trace storage: memory (default) or paged[:DIR] — paged
                        streams fixed-size on-disk segments so traces never
                        need to fit in RAM; reports are bit-identical
-  --replay-batch N|off lane-batched replay width 1..=64 (default 64): propagate
-                       up to N faults per trace walk; `off` selects the
-                       sequential one-replay-per-walk engine.  Verdicts are
-                       bit-identical either way
 
 sweep options (grid flags take comma-separated lists; the sweep covers the
 full workload x object x grid cross-product):
@@ -267,7 +265,6 @@ const VALUED_FLAGS: &[&str] = &[
     "--emit-scenario",
     "--emit-scenarios",
     "--trace-backend",
-    "--replay-batch",
 ];
 /// Boolean flags.
 const BOOL_FLAGS: &[&str] = &["--no-dfi", "--seq", "--exhaustive", "--resume"];
@@ -285,7 +282,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--no-dfi",
         "--seq",
         "--trace-backend",
-        "--replay-batch",
     ];
     const SWEEP: &[&str] = &[
         "--k",
@@ -302,7 +298,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--resume",
         "--threads",
         "--trace-backend",
-        "--replay-batch",
     ];
     const VALIDATE: &[&str] = &[
         "--k",
@@ -323,7 +318,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--threads",
         "--emit-scenarios",
         "--trace-backend",
-        "--replay-batch",
     ];
     const INJECT: &[&str] = &[
         "--k",
@@ -355,7 +349,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--threads",
         "--store",
         "--trace-backend",
-        "--replay-batch",
     ];
     // The union of every job the client can submit, plus the connection
     // flags.  No `--seq`/`--threads` (the daemon's pool decides), no
@@ -477,8 +470,8 @@ fn str_flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>,
 }
 
 /// One `--max-dfi` item: `unbounded`/`none` lifts the cap, anything else
-/// must be an unsigned cap (shared by `sweep`'s grid list and `validate`'s
-/// single value).
+/// must be an unsigned cap (shared by `sweep`'s grid list and every
+/// single-valued `--max-dfi`).
 fn parse_max_dfi(item: &str) -> Result<Option<u64>, MoardError> {
     match item.trim() {
         "unbounded" | "none" => Ok(None),
@@ -488,6 +481,34 @@ fn parse_max_dfi(item: &str) -> Result<Option<u64>, MoardError> {
             ))
         }),
     }
+}
+
+/// The single-valued `--max-dfi N|unbounded` of every subcommand but
+/// `sweep` (default 5000).  A zero cap parses here and is rejected with the
+/// rest of the configuration.
+fn max_dfi_flag(args: &[String]) -> Result<Option<u64>, MoardError> {
+    match str_flag_value(args, "--max-dfi")? {
+        None => Ok(Some(5_000)),
+        Some(value) => parse_max_dfi(value),
+    }
+}
+
+/// The analysis configuration of analyze/report/rank/inject and of a
+/// client `analyze` job: `--stride` (default 4), `--max-dfi`, `--k` and
+/// `--patterns`.
+fn analysis_config(args: &[String]) -> Result<moard_core::AnalysisConfig, MoardError> {
+    let mut config = moard_core::AnalysisConfig {
+        site_stride: flag_value(args, "--stride")?.unwrap_or(4) as usize,
+        max_dfi_per_object: max_dfi_flag(args)?,
+        ..moard_core::AnalysisConfig::default()
+    };
+    if let Some(k) = flag_value(args, "--k")? {
+        config.propagation_window = k as usize;
+    }
+    if let Some(patterns) = patterns_flag(args)? {
+        config.patterns = patterns;
+    }
+    Ok(config)
 }
 
 /// One `--patterns` item, parsed via the canonical pattern-set grammar
@@ -521,19 +542,6 @@ fn trace_backend_flag(args: &[String]) -> Result<Option<moard_vm::TraceBackendSp
         Some(text) => moard_vm::TraceBackendSpec::parse(text)
             .map(Some)
             .map_err(|e| MoardError::InvalidConfig(format!("flag `--trace-backend`: {e}"))),
-    }
-}
-
-/// The shared `--replay-batch N|off` flag of the analysis, sweep, validate,
-/// and serve subcommands.  Like `--trace-backend`, purely an
-/// execution-resource choice — never part of any fingerprint, and verdicts
-/// are bit-identical across widths.
-fn replay_batch_flag(args: &[String]) -> Result<Option<moard_core::ReplayBatch>, MoardError> {
-    match str_flag_value(args, "--replay-batch")? {
-        None => Ok(None),
-        Some(text) => moard_core::ReplayBatch::parse_flag(text)
-            .map(Some)
-            .map_err(|e| MoardError::InvalidConfig(format!("flag `--replay-batch`: {e}"))),
     }
 }
 
@@ -625,15 +633,8 @@ fn configured_session(
     cli: &Cli,
     workload: &str,
 ) -> Result<moard_inject::SessionBuilder, MoardError> {
-    let mut builder = Session::for_workload_in(&cli.registry, workload)?
-        .stride(flag_value(&cli.args, "--stride")?.unwrap_or(4) as usize)
-        .max_dfi(flag_value(&cli.args, "--max-dfi")?.unwrap_or(5_000));
-    if let Some(k) = flag_value(&cli.args, "--k")? {
-        builder = builder.window(k as usize);
-    }
-    if let Some(patterns) = patterns_flag(&cli.args)? {
-        builder = builder.patterns(patterns);
-    }
+    let mut builder =
+        Session::for_workload_in(&cli.registry, workload)?.config(analysis_config(&cli.args)?);
     if has_flag(&cli.args, "--no-dfi") {
         builder = builder.without_dfi();
     }
@@ -642,9 +643,6 @@ fn configured_session(
     }
     if let Some(backend) = trace_backend_flag(&cli.args)? {
         builder = builder.trace_backend(backend);
-    }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        builder = builder.replay_batch(batch);
     }
     Ok(builder)
 }
@@ -844,9 +842,6 @@ fn cmd_sweep(cli: &Cli) -> Result<(), CliError> {
     if let Some(backend) = trace_backend_flag(&cli.args)? {
         runner = runner.trace_backend(backend);
     }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        runner = runner.replay_batch(batch);
-    }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
         Format::Json => out!("{}", report.to_json().to_pretty()),
@@ -940,10 +935,7 @@ fn validate_spec(args: &[String]) -> Result<ValidationSpec, MoardError> {
     let mut spec = ValidationSpec::default()
         .workloads(workload_selector(args)?)
         .stride(flag_value(args, "--stride")?.unwrap_or(4) as usize);
-    spec.config.max_dfi_per_object = match str_flag_value(args, "--max-dfi")? {
-        None => Some(5_000),
-        Some(value) => parse_max_dfi(value)?,
-    };
+    spec.config.max_dfi_per_object = max_dfi_flag(args)?;
     if let Some(k) = flag_value(args, "--k")? {
         spec = spec.window(k as usize);
     }
@@ -988,9 +980,6 @@ fn cmd_validate(cli: &Cli) -> Result<(), CliError> {
     let backend = trace_backend_flag(&cli.args)?;
     if let Some(backend) = &backend {
         runner = runner.trace_backend(backend.clone());
-    }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        runner = runner.replay_batch(batch);
     }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
@@ -1404,7 +1393,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), CliError> {
         threads: threads_flag(&cli.args)?.unwrap_or(0),
         store: str_flag_value(&cli.args, "--store")?.map(Into::into),
         trace_backend: trace_backend_flag(&cli.args)?.unwrap_or_default(),
-        replay_batch: replay_batch_flag(&cli.args)?.unwrap_or_default(),
     })?;
     // Scraped by scripts and CI (port 0 resolves to the ephemeral port
     // here): keep the exact shape, and flush before the blocking join.
@@ -1497,24 +1485,10 @@ fn cmd_client(cli: &Cli) -> Result<(), CliError> {
             let Some(workload) = pos.first() else {
                 return Err(CliError::Usage);
             };
-            let mut config = moard_core::AnalysisConfig {
-                site_stride: flag_value(sub, "--stride")?.unwrap_or(4) as usize,
-                max_dfi_per_object: match str_flag_value(sub, "--max-dfi")? {
-                    None => Some(5_000),
-                    Some(value) => parse_max_dfi(value)?,
-                },
-                ..moard_core::AnalysisConfig::default()
-            };
-            if let Some(k) = flag_value(sub, "--k")? {
-                config.propagation_window = k as usize;
-            }
-            if let Some(patterns) = patterns_flag(sub)? {
-                config.patterns = patterns;
-            }
             Request::Analyze {
                 workload: workload.to_string(),
                 objects: pos[1..].iter().map(|s| s.to_string()).collect(),
-                config,
+                config: analysis_config(sub)?,
                 use_dfi: !has_flag(sub, "--no-dfi"),
                 priority: priority_flag(sub)?,
             }

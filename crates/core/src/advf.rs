@@ -224,7 +224,7 @@ impl PatternClassTally {
 
 /// Merge `from` into `into`, keyed by class and kept sorted by
 /// `flipped_bits` (integer sums, so the result is independent of merge
-/// order — the property sharded analysis relies on).
+/// order).
 pub fn merge_pattern_tallies(into: &mut Vec<PatternClassTally>, from: &[PatternClassTally]) {
     for tally in from {
         match into
@@ -275,9 +275,9 @@ pub struct AdvfReport {
     /// fared across the analyzed sites.
     pub pattern_tallies: Vec<PatternClassTally>,
     /// Replay lanes scheduled through the lane-batched engine (one lane per
-    /// (site, pattern) that needed a propagation replay).  Zero when the
-    /// analysis ran with batching off.  These three counters are engine
-    /// telemetry: any batch width (including off) yields the same verdicts.
+    /// (site, pattern) that needed a propagation replay).  These three
+    /// counters are engine telemetry, identical across trace backends and
+    /// thread counts.
     pub lanes_batched: u64,
     /// Number of batched trace walks those lanes shared.
     pub batch_walks: u64,

@@ -17,17 +17,15 @@
 //! The per-class masking fractions accumulate into an [`AdvfAccumulator`]
 //! exactly as Equation 1 prescribes.
 
-use crate::advf::{merge_pattern_tallies, AdvfAccumulator, AdvfReport, PatternClassTally};
+use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
-use crate::propagation::{
-    BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
-};
+use crate::propagation::{BatchLane, PropagationResult, ReplayEngine, MAX_REPLAY_LANES};
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey};
 use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
 use moard_vm::{ObjectId, OutcomeClass, TraceRecord, TraceStorage};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,43 +121,26 @@ impl AnalysisConfig {
 /// resident).
 ///
 /// The analyzer is `Sync`: the trace is immutable, the equivalence cache is
-/// internally locked, and the DFI-budget flag is atomic, so sharded per-site
-/// analysis ([`AdvfAnalyzer::analyze_sharded`]) can share one analyzer
-/// across worker threads — each worker holds its own [`ReplayCursor`] (and
-/// thus its own segment reader on the paged backend).
+/// internally locked, and the DFI-budget flag is atomic, so one analyzer can
+/// be shared across threads; every analysis owns its own
+/// [`ReplayEngine`] (and thus its own segment reader on the paged
+/// backend).
 pub struct AdvfAnalyzer<'a> {
     trace: &'a dyn TraceStorage,
     config: AnalysisConfig,
     cache: EquivalenceCache,
     dfi_budget_exhausted: AtomicBool,
-    replay_batch: ReplayBatch,
 }
 
 impl<'a> AdvfAnalyzer<'a> {
-    /// Create an analyzer over `trace` with the default (lane-batched)
-    /// replay engine.
+    /// Create an analyzer over `trace`.
     pub fn new(trace: &'a dyn TraceStorage, config: AnalysisConfig) -> Self {
         AdvfAnalyzer {
             trace,
             config,
             cache: EquivalenceCache::new(),
             dfi_budget_exhausted: AtomicBool::new(false),
-            replay_batch: ReplayBatch::default(),
         }
-    }
-
-    /// Select the replay engine: lane-batched at a given width, or `Off`
-    /// for the sequential one-walk-per-fault engine.  Any setting produces
-    /// bit-identical reports (up to the `lanes_batched`/`batch_walks`/
-    /// `batch_fallback_lanes` telemetry, which is zero when off).
-    pub fn with_replay_batch(mut self, replay_batch: ReplayBatch) -> Self {
-        self.replay_batch = replay_batch;
-        self
-    }
-
-    /// The replay-engine batching setting in use.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// The configuration in use.
@@ -172,6 +153,19 @@ impl<'a> AdvfAnalyzer<'a> {
     /// `resolver` supplies deterministic fault injection; pass `None` for the
     /// purely analytical mode, in which unresolved sites count as not masked
     /// (a conservative lower bound on aDVF).
+    ///
+    /// The analysis makes two passes over the site population.
+    ///
+    /// *Scheduling pass* — per (site, pattern), the operation-level verdict
+    /// is computed once; patterns that need a propagation replay become
+    /// *lanes* grouped by record position into batches of up to
+    /// [`MAX_REPLAY_LANES`], each batch walking the trace once through a
+    /// [`ReplayEngine`] as soon as it fills.
+    ///
+    /// *Resolution pass* — sites fold into the accumulator in site order,
+    /// and every DFI consult happens here in (site, pattern) order, so cache
+    /// statistics, budget accounting and verdicts do not depend on how the
+    /// lanes were batched.
     pub fn analyze(
         &self,
         object: ObjectId,
@@ -179,149 +173,43 @@ impl<'a> AdvfAnalyzer<'a> {
         workload: &str,
         resolver: Option<&dyn DfiResolver>,
     ) -> AdvfReport {
-        let sites = self.pattern_sites(object);
-        match self.replay_batch.lanes() {
-            Some(width) => self.analyze_batched(&sites, object_name, workload, resolver, width),
-            None => self.analyze_sequential(&sites, object_name, workload, resolver),
-        }
+        self.analyze_at_width(object, object_name, workload, resolver, MAX_REPLAY_LANES)
     }
 
-    /// The pre-batching engine: one replay walk per (site, pattern).
-    fn analyze_sequential(
+    /// [`AdvfAnalyzer::analyze`] with batches of at most `width` lanes (the
+    /// tests drive narrow widths through this; verdicts never depend on it).
+    pub(crate) fn analyze_at_width(
         &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> AdvfReport {
-        let mut acc = AdvfAccumulator::new();
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        let mut resolved_analytically = 0u64;
-        let mut analyzed = 0u64;
-        let stats_before = self.cache.stats();
-        // One replay cursor for the whole object: every site classification
-        // reuses its shadow-state buffers.
-        let mut cursor = ReplayCursor::new(self.trace);
-
-        for site in sites {
-            analyzed += 1;
-            let (fractions, used_dfi) =
-                self.analyze_site_tallied(&mut cursor, site, resolver, &mut tallies);
-            if !used_dfi {
-                resolved_analytically += 1;
-            }
-            acc.add_participation(&fractions);
-        }
-
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: analyzed,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically,
-            dfi_budget_exhausted: self.dfi_budget_exhausted.load(Ordering::Relaxed),
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// The lane-batched engine: two passes over the site population.
-    ///
-    /// *Scheduling pass* — per (site, pattern), the operation-level verdict
-    /// is computed once; patterns that need a propagation replay become
-    /// *lanes* grouped by record position into batches of up to `width`,
-    /// each batch walking the trace once through a [`BatchReplayCursor`].
-    ///
-    /// *Resolution pass* — sites fold into the accumulator in site order,
-    /// and every DFI consult happens here in exactly the sequential
-    /// (site, pattern) order, so cache statistics, budget accounting and
-    /// verdicts are all bit-identical to [`AdvfAnalyzer::analyze_sequential`].
-    fn analyze_batched(
-        &self,
-        sites: &[ParticipationSite],
+        object: ObjectId,
         object_name: &str,
         workload: &str,
         resolver: Option<&dyn DfiResolver>,
         width: usize,
     ) -> AdvfReport {
-        let k = self.config.propagation_window;
+        let sites = self.pattern_sites(object);
         let stats_before = self.cache.stats();
-        let mut cursor = BatchReplayCursor::new(self.trace);
 
-        // Scheduling pass.
-        let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
-        let mut lane_results: Vec<PropagationResult> = Vec::new();
-        let mut batch: Vec<BatchLane> = Vec::new();
-        let mut grouper = BatchGrouper::new(width, k);
-        let mut batch_walks = 0u64;
-        for site in sites {
-            let rec = cursor
-                .fetch(site.record_id)
-                .expect("site references a record in this trace");
-            let patterns = self.config.patterns.patterns_for(site.value.ty());
-            let mut tags = Vec::with_capacity(patterns.len());
-            for pattern in &patterns {
-                let tag = match analyze_operation(&rec, site.slot, pattern) {
-                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
-                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
-                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
-                    OpVerdict::OvershadowCandidate { corrupt } => {
-                        LaneTag::Overshadow(self.push_lane(
-                            &mut cursor,
-                            &mut grouper,
-                            &mut batch,
-                            &mut lane_results,
-                            &mut batch_walks,
-                            site,
-                            corrupt,
-                        ))
-                    }
-                    OpVerdict::Propagate { corrupt } => LaneTag::Propagate(self.push_lane(
-                        &mut cursor,
-                        &mut grouper,
-                        &mut batch,
-                        &mut lane_results,
-                        &mut batch_walks,
-                        site,
-                        corrupt,
-                    )),
-                };
-                tags.push(tag);
-            }
-            plans.push(SitePlan {
-                rec,
-                patterns,
-                tags,
-            });
-        }
-        if !batch.is_empty() {
-            cursor.replay_batch(&batch, k, &mut lane_results);
-            batch_walks += 1;
-        }
-        let lanes_batched = lane_results.len() as u64;
-        let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
+        let mut scheduler = LaneScheduler::new(self.trace, self.config.propagation_window, width);
+        let plans: Vec<SitePlan> = sites
+            .iter()
+            .map(|site| {
+                let rec = scheduler
+                    .engine
+                    .fetch(site.record_id)
+                    .expect("site references a record in this trace");
+                let patterns = self.config.patterns.patterns_for(site.value.ty());
+                scheduler.plan(rec, site, patterns)
+            })
+            .collect();
+        let (lane_results, batch_walks) = scheduler.finish();
 
-        // Resolution pass.
         let mut acc = AdvfAccumulator::new();
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         let mut resolved_analytically = 0u64;
         for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, used_dfi) = self.fold_site(
-                &plan.rec,
-                site,
-                &plan.patterns,
-                &plan.tags,
-                &lane_results,
-                resolver,
-                &mut tallies,
-            );
+            let (fractions, used_dfi) = fold_site(&plan.patterns, &mut tallies, |i, _| {
+                self.fold_pattern(site, plan, i, &lane_results, resolver)
+            });
             if !used_dfi {
                 resolved_analytically += 1;
             }
@@ -340,110 +228,50 @@ impl<'a> AdvfAnalyzer<'a> {
             dfi_budget_exhausted: self.dfi_budget_exhausted.load(Ordering::Relaxed),
             patterns: self.config.patterns.canonical(),
             pattern_tallies: tallies,
-            lanes_batched,
+            lanes_batched: lane_results.len() as u64,
             batch_walks,
-            batch_fallback_lanes,
+            batch_fallback_lanes: lane_results.iter().filter(|r| !r.is_masked()).count() as u64,
             config_fingerprint: self.config.fingerprint(),
         }
     }
 
-    /// Append one replay lane to the open batch (flushing it through the
-    /// cursor first if full or spanning too far) and return its global lane
-    /// index.
-    #[allow(clippy::too_many_arguments)]
-    fn push_lane(
+    /// Final class of the `i`-th pattern of a site plan from its scheduled
+    /// verdict and, when that depends on a replay lane or needs one, DFI.
+    /// The second element reports whether DFI was consulted.
+    fn fold_pattern(
         &self,
-        cursor: &mut BatchReplayCursor<'a>,
-        grouper: &mut BatchGrouper,
-        batch: &mut Vec<BatchLane>,
-        lane_results: &mut Vec<PropagationResult>,
-        batch_walks: &mut u64,
         site: &ParticipationSite,
-        corrupt: Vec<CorruptLoc>,
-    ) -> usize {
-        let start = site.record_id + 1;
-        if grouper.must_flush(start) {
-            cursor.replay_batch(batch, self.config.propagation_window, lane_results);
-            batch.clear();
-            grouper.reset();
-            *batch_walks += 1;
-        }
-        grouper.push(start);
-        let lane = lane_results.len() + batch.len();
-        batch.push(BatchLane {
-            start: start as usize,
-            corrupt,
-        });
-        lane
-    }
-
-    /// Fold one site's per-pattern outcomes into fractions and tallies —
-    /// the batched counterpart of [`AdvfAnalyzer::analyze_site_tallied`]'s
-    /// classification loop, consuming precomputed operation verdicts
-    /// (`tags`) and batched replay results instead of replaying inline.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_site(
-        &self,
-        rec: &TraceRecord,
-        site: &ParticipationSite,
-        patterns: &[ErrorPattern],
-        tags: &[LaneTag],
+        plan: &SitePlan,
+        i: usize,
         lane_results: &[PropagationResult],
         resolver: Option<&dyn DfiResolver>,
-        tallies: &mut Vec<PatternClassTally>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        let n = patterns.len() as f64;
-        let mut counts: Vec<(Masking, u64)> = Vec::new();
-        let mut used_dfi = false;
-        for (pattern, tag) in patterns.iter().zip(tags) {
-            let (class, dfi) = match tag {
-                LaneTag::Class(c) => (*c, false),
-                LaneTag::NeedsDfi => match self.resolve_dfi(rec, site, pattern, resolver) {
+    ) -> (Masking, bool) {
+        let (rec, pattern) = (&plan.rec, &plan.patterns[i]);
+        match &plan.tags[i] {
+            LaneTag::Class(c) => (*c, false),
+            // Overshadowing initiated the masking; whichever mechanism
+            // finishes it, the event is attributed to overshadowing (paper
+            // §III-C, discussion after the three classes).
+            LaneTag::Overshadow(lane) if lane_results[*lane].is_masked() => {
+                (Masking::Operation(OpMaskKind::Overshadowing), false)
+            }
+            LaneTag::Overshadow(_) => match self.resolve_dfi(rec, site, pattern, resolver) {
+                Some(c) if c.is_success() => (Masking::Operation(OpMaskKind::Overshadowing), true),
+                Some(_) => (Masking::NotMasked, true),
+                None => (Masking::NotMasked, false),
+            },
+            LaneTag::Propagate(lane) if lane_results[*lane].is_masked() => {
+                (Masking::Propagation, false)
+            }
+            LaneTag::Propagate(_) | LaneTag::NeedsDfi => {
+                match self.resolve_dfi(rec, site, pattern, resolver) {
                     Some(OutcomeClass::Identical) => (Masking::Propagation, true),
                     Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
                     Some(_) => (Masking::NotMasked, true),
                     None => (Masking::NotMasked, false),
-                },
-                LaneTag::Overshadow(lane) => {
-                    if lane_results[*lane].is_masked() {
-                        (Masking::Operation(OpMaskKind::Overshadowing), false)
-                    } else {
-                        match self.resolve_dfi(rec, site, pattern, resolver) {
-                            Some(c) if c.is_success() => {
-                                (Masking::Operation(OpMaskKind::Overshadowing), true)
-                            }
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
                 }
-                LaneTag::Propagate(lane) => {
-                    if lane_results[*lane].is_masked() {
-                        (Masking::Propagation, false)
-                    } else {
-                        match self.resolve_dfi(rec, site, pattern, resolver) {
-                            Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                            Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
-                }
-            };
-            used_dfi |= dfi;
-            record_pattern_class(tallies, pattern.bits.len() as u32, class);
-            if class == Masking::NotMasked {
-                continue;
-            }
-            match counts.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, k)) => *k += 1,
-                None => counts.push((class, 1)),
             }
         }
-        (
-            counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect(),
-            used_dfi,
-        )
     }
 
     /// The site population of this analysis: the strided participation
@@ -463,445 +291,28 @@ impl<'a> AdvfAnalyzer<'a> {
         sites
     }
 
-    /// Purely analytical analysis of one object with the participation
-    /// sites sharded across `workers` threads.
-    ///
-    /// Each worker owns a private [`ReplayCursor`] over the shared immutable
-    /// trace (zero cloning) and classifies a disjoint subset of the strided
-    /// sites; the per-site fractions are then folded into the accumulator
-    /// **in site order**, so the report is bit-identical to
-    /// `analyze(object, .., None)` regardless of thread count.  Sharding is
-    /// restricted to the analytic mode because a shared DFI cache would make
-    /// run/hit tallies depend on scheduling.
-    pub fn analyze_sharded(
-        &self,
-        object: ObjectId,
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-    ) -> AdvfReport {
-        let sites = self.pattern_sites(object);
-        match self.replay_batch.lanes() {
-            Some(width) => {
-                self.analyze_sharded_batched(&sites, object_name, workload, workers, width)
-            }
-            None => self.analyze_sharded_sequential(&sites, object_name, workload, workers),
-        }
-    }
-
-    /// The pre-batching sharded engine: workers claim individual sites and
-    /// replay each (site, pattern) on their private [`ReplayCursor`].
-    fn analyze_sharded_sequential(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-    ) -> AdvfReport {
-        let selected: Vec<&ParticipationSite> = sites.iter().collect();
-        let workers = workers.max(1).min(selected.len().max(1));
-        let stats_before = self.cache.stats();
-
-        // Per-class masked fractions of one site (`analyze_site` output).
-        type SiteFractions = Vec<(Masking, f64)>;
-        let mut fractions: Vec<Option<SiteFractions>> = vec![None; selected.len()];
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        if workers <= 1 {
-            let mut cursor = ReplayCursor::new(self.trace);
-            for (slot, site) in fractions.iter_mut().zip(selected.iter()) {
-                *slot = Some(
-                    self.analyze_site_tallied(&mut cursor, site, None, &mut tallies)
-                        .0,
-                );
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            // One worker's output: its claimed (site index, fractions)
-            // pairs plus its local pattern-class tallies.
-            type WorkerShard = (Vec<(usize, Vec<(Masking, f64)>)>, Vec<PatternClassTally>);
-            let mut shards: Vec<WorkerShard> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let selected = &selected;
-                        scope.spawn(move || {
-                            let mut cursor = ReplayCursor::new(self.trace);
-                            let mut local = Vec::new();
-                            let mut local_tallies: Vec<PatternClassTally> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(site) = selected.get(i) else {
-                                    break;
-                                };
-                                local.push((
-                                    i,
-                                    self.analyze_site_tallied(
-                                        &mut cursor,
-                                        site,
-                                        None,
-                                        &mut local_tallies,
-                                    )
-                                    .0,
-                                ));
-                            }
-                            (local, local_tallies)
-                        })
-                    })
-                    .collect();
-                shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sharded analysis worker panicked"))
-                    .collect();
-            });
-            // Pattern-class tallies are exact integer counts keyed (and kept
-            // sorted) by class, so folding them worker-by-worker yields the
-            // same vector as the sequential loop no matter the scheduling.
-            for (local, local_tallies) in shards {
-                for (i, f) in local {
-                    fractions[i] = Some(f);
-                }
-                merge_pattern_tallies(&mut tallies, &local_tallies);
-            }
-        }
-
-        // Deterministic fold: site order, exactly as the sequential loop.
-        let mut acc = AdvfAccumulator::new();
-        for f in &fractions {
-            acc.add_participation(f.as_ref().expect("every site index was claimed"));
-        }
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: selected.len() as u64,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically: selected.len() as u64,
-            dfi_budget_exhausted: false,
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// The lane-batched sharded engine.
-    ///
-    /// The scheduling pass runs sequentially (it is pure in-memory record
-    /// inspection) and materializes the *exact* batches the single-threaded
-    /// batched engine would walk; workers then claim whole batches — each
-    /// with a private [`BatchReplayCursor`] — and the per-site fold runs in
-    /// site order, so the report (batch telemetry included) is bit-identical
-    /// to [`AdvfAnalyzer::analyze_batched`] at any worker count.
-    fn analyze_sharded_batched(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-        width: usize,
-    ) -> AdvfReport {
-        let k = self.config.propagation_window;
-        let stats_before = self.cache.stats();
-
-        // Scheduling pass: same lane order and batch boundaries as the
-        // sequential batched engine, batches kept instead of walked.
-        let mut cursor = BatchReplayCursor::new(self.trace);
-        let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
-        let mut batches: Vec<Vec<BatchLane>> = Vec::new();
-        let mut open: Vec<BatchLane> = Vec::new();
-        let mut grouper = BatchGrouper::new(width, k);
-        let mut lanes_batched = 0usize;
-        for site in sites {
-            let rec = cursor
-                .fetch(site.record_id)
-                .expect("site references a record in this trace");
-            let patterns = self.config.patterns.patterns_for(site.value.ty());
-            let mut tags = Vec::with_capacity(patterns.len());
-            for pattern in &patterns {
-                let tag = match analyze_operation(&rec, site.slot, pattern) {
-                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
-                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
-                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
-                    OpVerdict::OvershadowCandidate { corrupt } => {
-                        LaneTag::Overshadow(schedule_lane(
-                            &mut batches,
-                            &mut open,
-                            &mut grouper,
-                            site,
-                            corrupt,
-                            &mut lanes_batched,
-                        ))
-                    }
-                    OpVerdict::Propagate { corrupt } => LaneTag::Propagate(schedule_lane(
-                        &mut batches,
-                        &mut open,
-                        &mut grouper,
-                        site,
-                        corrupt,
-                        &mut lanes_batched,
-                    )),
-                };
-                tags.push(tag);
-            }
-            plans.push(SitePlan {
-                rec,
-                patterns,
-                tags,
-            });
-        }
-        if !open.is_empty() {
-            batches.push(open);
-        }
-        let batch_walks = batches.len() as u64;
-
-        // First global lane index of each batch (lanes are numbered in
-        // scheduling order, batches hold contiguous ranges).
-        let mut offsets = Vec::with_capacity(batches.len());
-        let mut off = 0usize;
-        for b in &batches {
-            offsets.push(off);
-            off += b.len();
-        }
-
-        // Walk pass: workers claim whole batches.
-        let mut slots: Vec<Option<PropagationResult>> = vec![None; lanes_batched];
-        let workers = workers.max(1).min(batches.len().max(1));
-        if workers <= 1 {
-            let mut out = Vec::new();
-            for (b, &lo) in batches.iter().zip(&offsets) {
-                out.clear();
-                cursor.replay_batch(b, k, &mut out);
-                for (j, r) in out.iter().enumerate() {
-                    slots[lo + j] = Some(*r);
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut shards: Vec<Vec<(usize, Vec<PropagationResult>)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let batches = &batches;
-                        scope.spawn(move || {
-                            let mut cursor = BatchReplayCursor::new(self.trace);
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(b) = batches.get(i) else {
-                                    break;
-                                };
-                                let mut out = Vec::with_capacity(b.len());
-                                cursor.replay_batch(b, k, &mut out);
-                                local.push((i, out));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batched walk worker panicked"))
-                    .collect();
-            });
-            for local in shards {
-                for (i, out) in local {
-                    for (j, r) in out.into_iter().enumerate() {
-                        slots[offsets[i] + j] = Some(r);
-                    }
-                }
-            }
-        }
-        let lane_results: Vec<PropagationResult> = slots
-            .into_iter()
-            .map(|s| s.expect("every batch was claimed and walked"))
-            .collect();
-        let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
-
-        // Fold pass: site order, no resolver (sharding is analytic-only).
-        let mut acc = AdvfAccumulator::new();
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, _) = self.fold_site(
-                &plan.rec,
-                site,
-                &plan.patterns,
-                &plan.tags,
-                &lane_results,
-                None,
-                &mut tallies,
-            );
-            acc.add_participation(&fractions);
-        }
-
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: sites.len() as u64,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically: sites.len() as u64,
-            dfi_budget_exhausted: false,
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: lanes_batched as u64,
-            batch_walks,
-            batch_fallback_lanes,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// Analyze one participation site across all configured error patterns.
-    /// Returns the per-class masked fractions and whether DFI was consulted.
-    pub fn analyze_site(
-        &self,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        self.analyze_site_in(&mut ReplayCursor::new(self.trace), site, resolver)
-    }
-
-    /// [`AdvfAnalyzer::analyze_site`] with a caller-supplied replay cursor
-    /// (reused across sites by the analysis loops).
-    pub fn analyze_site_in(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        let mut tallies = Vec::new();
-        self.analyze_site_tallied(cursor, site, resolver, &mut tallies)
-    }
-
-    /// [`AdvfAnalyzer::analyze_site_in`] that additionally folds each
-    /// classified `(pattern, verdict)` into the per-pattern-class tallies
-    /// of the report being assembled.
-    pub fn analyze_site_tallied(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-        tallies: &mut Vec<PatternClassTally>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        // Fetch through the cursor's warm reader: on the paged backend the
-        // site's segment is (or is about to be) in the replay LRU anyway.
-        let rec = cursor
-            .fetch(site.record_id)
-            .expect("site references a record in this trace");
-        let patterns = self.config.patterns.patterns_for(site.value.ty());
-        if patterns.is_empty() {
-            return (vec![], false);
-        }
-        let n = patterns.len() as f64;
-        let mut counts: Vec<(Masking, u64)> = Vec::new();
-        let mut used_dfi = false;
-        for pattern in &patterns {
-            let (class, dfi) = self.classify_in(cursor, &rec, site, pattern.clone(), resolver);
-            used_dfi |= dfi;
-            record_pattern_class(tallies, pattern.bits.len() as u32, class);
-            if class == Masking::NotMasked {
-                continue;
-            }
-            match counts.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, k)) => *k += 1,
-                None => counts.push((class, 1)),
-            }
-        }
-        (
-            counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect(),
-            used_dfi,
-        )
-    }
-
-    /// Classify one (site, error pattern) through the full pipeline.
-    /// The second element reports whether DFI was consulted.
+    /// Classify one (site, error pattern) through the full pipeline: the
+    /// same schedule-and-fold path as [`AdvfAnalyzer::analyze`], as a
+    /// one-site plan with at most one replay lane.  The second element
+    /// reports whether DFI was consulted.
     pub fn classify(
         &self,
         rec: &TraceRecord,
         site: &ParticipationSite,
-        pattern: crate::error_pattern::ErrorPattern,
+        pattern: ErrorPattern,
         resolver: Option<&dyn DfiResolver>,
     ) -> (Masking, bool) {
-        self.classify_in(
-            &mut ReplayCursor::new(self.trace),
-            rec,
-            site,
-            pattern,
-            resolver,
-        )
-    }
-
-    /// [`AdvfAnalyzer::classify`] with a caller-supplied replay cursor.
-    pub fn classify_in(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        rec: &TraceRecord,
-        site: &ParticipationSite,
-        pattern: crate::error_pattern::ErrorPattern,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Masking, bool) {
-        match analyze_operation(rec, site.slot, &pattern) {
-            OpVerdict::Masked(kind) => (Masking::Operation(kind), false),
-            OpVerdict::NotMasked => (Masking::NotMasked, false),
-            OpVerdict::OvershadowCandidate { corrupt } => {
-                // Overshadowing initiated the masking; whichever mechanism
-                // finishes it, the event is attributed to overshadowing
-                // (paper §III-C, discussion after the three classes).
-                let prop = cursor.replay(
-                    rec.id as usize + 1,
-                    &corrupt,
-                    self.config.propagation_window,
-                );
-                if prop.is_masked() {
-                    return (Masking::Operation(OpMaskKind::Overshadowing), false);
-                }
-                match self.resolve_dfi(rec, site, &pattern, resolver) {
-                    Some(c) if c.is_success() => {
-                        (Masking::Operation(OpMaskKind::Overshadowing), true)
-                    }
-                    Some(_) => (Masking::NotMasked, true),
-                    None => (Masking::NotMasked, false),
-                }
-            }
-            OpVerdict::Propagate { corrupt } => {
-                let prop = cursor.replay(
-                    rec.id as usize + 1,
-                    &corrupt,
-                    self.config.propagation_window,
-                );
-                match prop {
-                    PropagationResult::AllMasked { .. } => (Masking::Propagation, false),
-                    PropagationResult::Unresolved { .. } => {
-                        match self.resolve_dfi(rec, site, &pattern, resolver) {
-                            Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                            Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
-                }
-            }
-            OpVerdict::NeedsDfi => match self.resolve_dfi(rec, site, &pattern, resolver) {
-                Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                Some(_) => (Masking::NotMasked, true),
-                None => (Masking::NotMasked, false),
-            },
-        }
+        let mut scheduler = LaneScheduler::new(self.trace, self.config.propagation_window, 1);
+        let plan = scheduler.plan(rec.clone(), site, vec![pattern]);
+        let (lane_results, _) = scheduler.finish();
+        self.fold_pattern(site, &plan, 0, &lane_results, resolver)
     }
 
     fn resolve_dfi(
         &self,
         rec: &TraceRecord,
         site: &ParticipationSite,
-        pattern: &crate::error_pattern::ErrorPattern,
+        pattern: &ErrorPattern,
         resolver: Option<&dyn DfiResolver>,
     ) -> Option<OutcomeClass> {
         // The deterministic fault injector applies any error pattern in one
@@ -929,9 +340,9 @@ impl<'a> AdvfAnalyzer<'a> {
     }
 }
 
-/// Operation-level verdict of one (site, pattern) as recorded by the batched
+/// Operation-level verdict of one (site, pattern) as recorded by the
 /// scheduling pass.  Replay-dependent verdicts carry the global lane index
-/// of their batched walk; the fold pass resolves them (and any DFI) later.
+/// of their replay; the fold resolves them (and any DFI) later.
 enum LaneTag {
     /// Fully decided by the operation rules (including analytically
     /// not-masked).
@@ -952,77 +363,132 @@ struct SitePlan {
     tags: Vec<LaneTag>,
 }
 
-/// Decides batch boundaries for the lane scheduler.  A batch closes when it
-/// holds `width` lanes or when the next lane would start more than
-/// `span_cap` records after the batch's first lane: lanes sharing a walk
-/// should overlap their windows, or the walk degenerates into disjoint
-/// segments with dead skip-ahead in between.
-struct BatchGrouper {
+/// The scheduling pass: turns each (site, pattern) into a [`LaneTag`],
+/// appending replay-dependent ones as lanes to an open batch that walks the
+/// trace through one [`ReplayEngine`] as soon as it closes.  Only the open
+/// batch is held; finished batches leave nothing behind but their results.
+struct LaneScheduler<'t> {
+    engine: ReplayEngine<'t>,
+    k: usize,
     width: usize,
-    span_cap: u64,
-    len: usize,
-    first_start: u64,
+    batch: Vec<BatchLane>,
+    results: Vec<PropagationResult>,
+    walks: u64,
 }
 
-impl BatchGrouper {
-    fn new(width: usize, k: usize) -> Self {
-        BatchGrouper {
+impl<'t> LaneScheduler<'t> {
+    fn new(trace: &'t dyn TraceStorage, k: usize, width: usize) -> Self {
+        LaneScheduler {
+            engine: ReplayEngine::new(trace),
+            k,
             width,
-            // k = 0 still allows grouping lanes at adjacent records: every
-            // lane resolves on activation, so span hardly matters.
-            span_cap: k.max(1) as u64,
-            len: 0,
-            first_start: 0,
+            batch: Vec::new(),
+            results: Vec::new(),
+            walks: 0,
         }
     }
 
-    /// Must the open batch be flushed before a lane starting at `start`
-    /// (a non-decreasing sequence) can be appended?
-    fn must_flush(&self, start: u64) -> bool {
-        self.len == self.width || (self.len > 0 && start - self.first_start > self.span_cap)
-    }
-
-    fn push(&mut self, start: u64) {
-        if self.len == 0 {
-            self.first_start = start;
+    /// Schedule every pattern of one site (sites must arrive in ascending
+    /// record order).
+    fn plan(
+        &mut self,
+        rec: TraceRecord,
+        site: &ParticipationSite,
+        patterns: Vec<ErrorPattern>,
+    ) -> SitePlan {
+        let tags = patterns
+            .iter()
+            .map(
+                |pattern| match analyze_operation(&rec, site.slot, pattern) {
+                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
+                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
+                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
+                    OpVerdict::OvershadowCandidate { corrupt } => {
+                        LaneTag::Overshadow(self.push_lane(site, corrupt))
+                    }
+                    OpVerdict::Propagate { corrupt } => {
+                        LaneTag::Propagate(self.push_lane(site, corrupt))
+                    }
+                },
+            )
+            .collect();
+        SitePlan {
+            rec,
+            patterns,
+            tags,
         }
-        self.len += 1;
     }
 
-    fn reset(&mut self) {
-        self.len = 0;
+    /// Append one replay lane to the open batch (walking the batch first if
+    /// it must close) and return the lane's global index.
+    fn push_lane(&mut self, site: &ParticipationSite, corrupt: Vec<CorruptLoc>) -> usize {
+        let start = site.record_id as usize + 1;
+        // A batch closes at `width` lanes, or when the next lane would start
+        // more than one window past its first lane (k = 0 still groups
+        // adjacent records): lanes sharing a walk should overlap their
+        // windows, or the walk degenerates into disjoint segments with dead
+        // skip-ahead in between.
+        let too_far = self
+            .batch
+            .first()
+            .is_some_and(|first| start - first.start > self.k.max(1));
+        if self.batch.len() == self.width || too_far {
+            self.flush();
+        }
+        self.batch.push(BatchLane { start, corrupt });
+        self.results.len() + self.batch.len() - 1
+    }
+
+    fn flush(&mut self) {
+        self.engine
+            .replay_lanes(&self.batch, self.k, &mut self.results);
+        self.batch.clear();
+        self.walks += 1;
+    }
+
+    /// Walk the last open batch; returns every lane's result in lane order
+    /// and the number of walks.
+    fn finish(mut self) -> (Vec<PropagationResult>, u64) {
+        if !self.batch.is_empty() {
+            self.flush();
+        }
+        (self.results, self.walks)
     }
 }
 
-/// Sharded-scheduling counterpart of [`AdvfAnalyzer::push_lane`]: append a
-/// lane to the open batch (sealing it first if the grouper says so) and
-/// return the lane's global index.
-fn schedule_lane(
-    batches: &mut Vec<Vec<BatchLane>>,
-    open: &mut Vec<BatchLane>,
-    grouper: &mut BatchGrouper,
-    site: &ParticipationSite,
-    corrupt: Vec<CorruptLoc>,
-    lanes: &mut usize,
-) -> usize {
-    let start = site.record_id + 1;
-    if grouper.must_flush(start) {
-        batches.push(std::mem::take(open));
-        grouper.reset();
+/// Fold one site's per-pattern classes — `class_of(index, pattern)`,
+/// which also reports whether DFI was consulted — into per-class masked
+/// fractions and the pattern-class tallies.  The second element reports
+/// whether any pattern consulted DFI.
+fn fold_site(
+    patterns: &[ErrorPattern],
+    tallies: &mut Vec<PatternClassTally>,
+    mut class_of: impl FnMut(usize, &ErrorPattern) -> (Masking, bool),
+) -> (Vec<(Masking, f64)>, bool) {
+    let n = patterns.len() as f64;
+    let mut counts: Vec<(Masking, u64)> = Vec::new();
+    let mut used_dfi = false;
+    for (i, pattern) in patterns.iter().enumerate() {
+        let (class, dfi) = class_of(i, pattern);
+        used_dfi |= dfi;
+        record_pattern_class(tallies, pattern.bits.len() as u32, class);
+        if class == Masking::NotMasked {
+            continue;
+        }
+        match counts.iter_mut().find(|(c, _)| *c == class) {
+            Some((_, k)) => *k += 1,
+            None => counts.push((class, 1)),
+        }
     }
-    grouper.push(start);
-    let lane = *lanes;
-    *lanes += 1;
-    open.push(BatchLane {
-        start: start as usize,
-        corrupt,
-    });
-    lane
+    (
+        counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect(),
+        used_dfi,
+    )
 }
 
 /// Record one classified `(pattern, verdict)` into the tally keyed by its
 /// pattern class, keeping the vector sorted by `flipped_bits` (the same
-/// invariant [`merge_pattern_tallies`] maintains across shards).
+/// invariant [`crate::advf::merge_pattern_tallies`] maintains).
 fn record_pattern_class(tallies: &mut Vec<PatternClassTally>, width: u32, class: Masking) {
     match tallies.iter_mut().find(|t| t.flipped_bits == width) {
         Some(t) => t.record(class),
@@ -1086,12 +552,16 @@ mod tests {
         m
     }
 
-    fn analyze_object(m: &Module, name: &str, config: AnalysisConfig) -> AdvfReport {
+    /// Trace `m` and hand `f` the trace, the id of object `name`, and a DFI
+    /// resolver comparing only the output array and the return value.
+    fn with_listing1<R>(
+        m: &Module,
+        name: &str,
+        f: impl FnOnce(&moard_vm::Trace, ObjectId, &dyn DfiResolver) -> R,
+    ) -> R {
         let (golden, trace) = run_traced(m).unwrap();
         let vm = Vm::with_defaults(m).unwrap();
         let obj = vm.objects().by_name(name).unwrap().id;
-        let analyzer = AdvfAnalyzer::new(&trace, config);
-        // DFI resolver comparing only the output array and the return value.
         let resolver = |fault: &moard_vm::FaultSpec| {
             let outcome = run_with_fault(m, fault).unwrap();
             if !outcome.status.is_completed() {
@@ -1110,7 +580,13 @@ mod tests {
                 OutcomeClass::Incorrect
             }
         };
-        analyzer.analyze(obj, name, "listing1", Some(&resolver))
+        f(&trace, obj, &resolver)
+    }
+
+    fn analyze_object(m: &Module, name: &str, config: AnalysisConfig) -> AdvfReport {
+        with_listing1(m, name, |trace, obj, resolver| {
+            AdvfAnalyzer::new(trace, config).analyze(obj, name, "listing1", Some(resolver))
+        })
     }
 
     #[test]
@@ -1183,8 +659,11 @@ mod tests {
             .find(|s| s.slot == SiteSlot::StoreDest && s.element.1 == 0)
             .expect("store to par_a[0] participates");
         let analyzer = AdvfAnalyzer::new(&trace, AnalysisConfig::default());
-        let (fractions, _) = analyzer.analyze_site(store_dest_site, None);
-        assert!((site_masked_fraction(&fractions) - 1.0).abs() < 1e-12);
+        let rec = trace.record(store_dest_site.record_id).unwrap();
+        for pattern in ErrorPatternSet::SingleBit.patterns_for(store_dest_site.value.ty()) {
+            let (class, used_dfi) = analyzer.classify(rec, store_dest_site, pattern, None);
+            assert!(class.is_masked() && !used_dfi, "{class:?}");
+        }
         // Cross-check with the injector.
         for bit in [0u32, 31, 63] {
             let outcome = run_with_fault(&m, &store_dest_site.fault_bit(bit)).unwrap();
@@ -1192,83 +671,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_analysis_is_bit_identical_to_sequential() {
-        let m = listing1_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
-        let analyzer = AdvfAnalyzer::new(&trace, AnalysisConfig::default());
-        let sequential = analyzer.analyze(obj, "par_a", "listing1", None);
-        for workers in [1usize, 2, 4, 64] {
-            let sharded = analyzer.analyze_sharded(obj, "par_a", "listing1", workers);
-            assert_eq!(sharded, sequential, "workers={workers}");
-            assert_eq!(
-                sharded.advf().to_bits(),
-                sequential.advf().to_bits(),
-                "workers={workers}"
-            );
-        }
-        // Striding composes with sharding the same way it does sequentially.
-        let strided_config = AnalysisConfig {
-            site_stride: 3,
-            ..Default::default()
+    /// The sequential reference: the per-(site, pattern) classification
+    /// loop with one scalar [`crate::propagation::replay`] each — the engine
+    /// the batched analyzer replaced.  Fields it does not compute (names,
+    /// fingerprint, `batch_walks`) are taken from `like`.
+    fn reference_analyze(
+        analyzer: &AdvfAnalyzer,
+        object: ObjectId,
+        resolver: Option<&dyn DfiResolver>,
+        like: &AdvfReport,
+    ) -> AdvfReport {
+        let k = analyzer.config.propagation_window;
+        let (mut lanes, mut fallback) = (0u64, 0u64);
+        let mut replay_masks = |rec: &TraceRecord, corrupt: &[CorruptLoc]| {
+            let start = rec.id as usize + 1;
+            let masked = crate::propagation::replay(analyzer.trace, start, corrupt, k).is_masked();
+            lanes += 1;
+            fallback += u64::from(!masked);
+            masked
         };
-        let analyzer = AdvfAnalyzer::new(&trace, strided_config);
-        assert_eq!(
-            analyzer.analyze_sharded(obj, "par_a", "listing1", 4),
-            analyzer.analyze(obj, "par_a", "listing1", None)
-        );
+        let sites = analyzer.pattern_sites(object);
+        let mut reader = analyzer.trace.new_reader();
+        let (mut accumulator, mut pattern_tallies) = (AdvfAccumulator::new(), Vec::new());
+        let mut resolved_analytically = 0;
+        for site in &sites {
+            let rec = reader.fetch(site.record_id).unwrap();
+            let patterns = analyzer.config.patterns.patterns_for(site.value.ty());
+            let (fractions, used_dfi) = fold_site(&patterns, &mut pattern_tallies, |_, pattern| {
+                let dfi = || analyzer.resolve_dfi(&rec, site, pattern, resolver);
+                match analyze_operation(&rec, site.slot, pattern) {
+                    OpVerdict::Masked(kind) => (Masking::Operation(kind), false),
+                    OpVerdict::NotMasked => (Masking::NotMasked, false),
+                    OpVerdict::OvershadowCandidate { corrupt } if replay_masks(&rec, &corrupt) => {
+                        (Masking::Operation(OpMaskKind::Overshadowing), false)
+                    }
+                    OpVerdict::OvershadowCandidate { .. } => match dfi() {
+                        Some(c) if c.is_success() => {
+                            (Masking::Operation(OpMaskKind::Overshadowing), true)
+                        }
+                        Some(_) => (Masking::NotMasked, true),
+                        None => (Masking::NotMasked, false),
+                    },
+                    OpVerdict::Propagate { corrupt } if replay_masks(&rec, &corrupt) => {
+                        (Masking::Propagation, false)
+                    }
+                    OpVerdict::Propagate { .. } | OpVerdict::NeedsDfi => match dfi() {
+                        Some(OutcomeClass::Identical) => (Masking::Propagation, true),
+                        Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
+                        Some(_) => (Masking::NotMasked, true),
+                        None => (Masking::NotMasked, false),
+                    },
+                }
+            });
+            accumulator.add_participation(&fractions);
+            resolved_analytically += u64::from(!used_dfi);
+        }
+        let stats = analyzer.dfi_stats();
+        AdvfReport {
+            accumulator,
+            sites_analyzed: sites.len() as u64,
+            dfi_runs: stats.injections,
+            dfi_cache_hits: stats.cache_hits,
+            resolved_analytically,
+            dfi_budget_exhausted: analyzer.dfi_budget_exhausted.load(Ordering::Relaxed),
+            pattern_tallies,
+            lanes_batched: lanes,
+            batch_fallback_lanes: fallback,
+            ..like.clone()
+        }
     }
 
     #[test]
     fn batched_analysis_matches_sequential_engine_with_dfi() {
-        // Same object, same resolver, every batch width against `Off`: the
-        // whole report — verdict fractions, tallies, DFI run/hit counts —
-        // must match bit-for-bit; only the batch telemetry may differ.
-        let m = listing1_module();
-        let (golden, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
-        let resolver = |fault: &moard_vm::FaultSpec| {
-            let outcome = run_with_fault(&m, fault).unwrap();
-            if !outcome.status.is_completed() {
-                return OutcomeClass::Crashed;
-            }
-            if outcome.bits_identical(&golden) {
-                OutcomeClass::Identical
-            } else if outcome.max_rel_diff(&golden, "out") < 1e-6 {
-                OutcomeClass::Acceptable
-            } else {
-                OutcomeClass::Incorrect
-            }
-        };
-        for k in [0usize, 2, 50] {
-            let config = AnalysisConfig::with_window(k);
-            let off = AdvfAnalyzer::new(&trace, config.clone())
-                .with_replay_batch(ReplayBatch::Off)
-                .analyze(obj, "par_a", "listing1", Some(&resolver));
-            assert_eq!(off.lanes_batched, 0);
-            assert_eq!(off.batch_walks, 0);
-            for width in [1usize, 7, 64] {
-                let batched = AdvfAnalyzer::new(&trace, config.clone())
-                    .with_replay_batch(ReplayBatch::width(width))
-                    .analyze(obj, "par_a", "listing1", Some(&resolver));
-                let mut normalized = batched.clone();
-                normalized.lanes_batched = 0;
-                normalized.batch_walks = 0;
-                normalized.batch_fallback_lanes = 0;
-                assert_eq!(normalized, off, "k={k} width={width}");
-                assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
-                if k > 0 {
-                    assert!(batched.lanes_batched > 0, "k={k} width={width}");
-                    assert!(
-                        batched.batch_walks <= batched.lanes_batched,
-                        "k={k} width={width}"
-                    );
+        // Every batch width against the sequential reference, with DFI on
+        // and with a DFI budget small enough to run out: verdict fractions,
+        // tallies, DFI run/hit counts, budget flag and lane counts must
+        // match bit-for-bit; only `batch_walks` depends on the width.
+        with_listing1(&listing1_module(), "par_a", |trace, obj, resolver| {
+            let mut budget_ran_out = false;
+            for k in [0usize, 2, 50] {
+                for max_dfi in [None, Some(2)] {
+                    let config = AnalysisConfig {
+                        max_dfi_per_object: max_dfi,
+                        ..AnalysisConfig::with_window(k)
+                    };
+                    let fresh = || AdvfAnalyzer::new(trace, config.clone());
+                    for width in [1usize, 7, 64] {
+                        let batched = fresh().analyze_at_width(
+                            obj,
+                            "par_a",
+                            "listing1",
+                            Some(resolver),
+                            width,
+                        );
+                        let reference = reference_analyze(&fresh(), obj, Some(resolver), &batched);
+                        assert_eq!(
+                            batched, reference,
+                            "k={k} max_dfi={max_dfi:?} width={width}"
+                        );
+                        assert!(reference.dfi_runs > 0, "k={k}: the fixture needs DFI");
+                        budget_ran_out |= reference.dfi_budget_exhausted;
+                        let (walks, lanes) = (batched.batch_walks, batched.lanes_batched);
+                        assert!(
+                            lanes.div_ceil(width as u64) <= walks && walks <= lanes,
+                            "k={k} width={width}: {walks} walks for {lanes} lanes"
+                        );
+                    }
                 }
             }
-        }
+            assert!(budget_ran_out, "the small budget must run out");
+        });
     }
 
     #[test]

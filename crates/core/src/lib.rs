@@ -82,8 +82,7 @@ pub use error_pattern::{ErrorPattern, ErrorPatternSet};
 pub use masking::{Masking, OpMaskKind};
 pub use op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 pub use propagation::{
-    replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
-    UnresolvedReason, MAX_REPLAY_LANES,
+    replay, BatchLane, PropagationResult, ReplayEngine, UnresolvedReason, MAX_REPLAY_LANES,
 };
 pub use report::{
     check_schema_version, fingerprint_hex, fnv1a, parse_fingerprint, trace_stats_to_json,

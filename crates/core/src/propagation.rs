@@ -21,32 +21,31 @@
 //! ## Engine notes
 //!
 //! Replay is *the* hot loop of the analytical pipeline (every participation
-//! site × every error pattern replays a window), so the implementation is
-//! tuned accordingly:
+//! site × every error pattern replays a window), so there is one engine,
+//! [`ReplayEngine`], tuned accordingly:
 //!
+//! * up to 64 replays whose windows overlap share **one** walk over the
+//!   decoded records: the shadow state maps each (frame, register) and
+//!   memory word to a `u64` *lane mask* plus the per-lane corrupted values,
+//!   so a record is decoded (and its shadow entries scanned) once for the
+//!   whole batch instead of once per fault;
 //! * the trace is walked through [`moard_vm::TraceRead`] *runs* — zero-copy
 //!   slices of contiguous decoded records.  For the in-memory backend a run
-//!   is simply the trace tail (the old `Trace::window` cursor); for the
-//!   paged backend it is the suffix of one decoded segment, so replay
-//!   streams segments without ever needing the full trace resident.
-//!   Sharded per-site replay across worker threads shares one immutable
-//!   trace with no cloning — each cursor owns its own reader;
-//! * the live corrupted state (`ShadowState`) is a pair of small linear
-//!   vectors, not hash maps: live sets are almost always a handful of
-//!   locations, where linear probing beats hashing by a wide margin;
-//! * a [`ReplayCursor`] owns the state buffers and is reusable across
-//!   replays, so a site loop performs no per-replay allocation.  The free
-//!   [`replay`] function remains as the one-shot convenience entry point;
-//! * up to 64 replays whose windows overlap can share **one** walk over the
-//!   decoded records through a [`BatchReplayCursor`]: its shadow state maps
-//!   each (frame, register) and memory word to a `u64` *lane mask* plus the
-//!   per-lane corrupted values, so a record is decoded (and its shadow
-//!   entries scanned) once for the whole batch instead of once per fault.
-//!   Lanes retire individually — `AllMasked`, window exhaustion, control or
-//!   address divergence — and every verdict is bit-identical to the
-//!   sequential [`ReplayCursor::replay`] because tainted lanes re-evaluate
-//!   the operation with exactly the sequential engine's rules, value by
-//!   value.
+//!   is simply the trace tail; for the paged backend it is the suffix of one
+//!   decoded segment, so replay streams segments without ever needing the
+//!   full trace resident;
+//! * the shadow tables are small linear vectors, not hash maps: live sets
+//!   are almost always a handful of locations, where linear probing beats
+//!   hashing by a wide margin;
+//! * an engine owns its state buffers and a warm reader and is reusable
+//!   across batches, so an analysis loop performs no per-walk allocation.
+//!
+//! Lanes retire individually — `AllMasked`, window exhaustion, control or
+//! address divergence, trace end — and every verdict is bit-identical to
+//! the scalar reference [`replay`], the one-fault-per-walk oracle over
+//! `ShadowState` that the parity tests pin the engine to: tainted lanes
+//! re-evaluate each operation with exactly the oracle's rules, value by
+//! value.
 
 use crate::op_rules::CorruptLoc;
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, RegId, Value};
@@ -93,8 +92,8 @@ impl PropagationResult {
     }
 }
 
-/// Live corrupted state during replay: small linear tables keyed by
-/// (frame, register) and by memory address.
+/// Live corrupted state of the scalar reference [`replay`]: small linear
+/// tables keyed by (frame, register) and by memory address.
 ///
 /// Live sets during replay are tiny (an error seeds one or two locations and
 /// masking shrinks the set), so linear scans over dense vectors beat hash
@@ -197,189 +196,83 @@ impl ShadowState {
     }
 }
 
-/// A reusable replay cursor over one immutable trace (either backend).
+/// The scalar reference replay: one walk per fault over a `ShadowState`.
 ///
-/// The cursor owns the shadow-state buffers *and* a [`TraceRead`] reader, so
-/// a loop replaying many sites (the aDVF analyzer, a sharded worker)
-/// allocates nothing per replay and — on the paged backend — keeps a warm
-/// LRU of decoded segments across the whole site loop.  The trace itself is
-/// only borrowed: any number of cursors in any number of threads can walk
-/// the same trace concurrently.
-pub struct ReplayCursor<'t> {
-    trace: &'t dyn TraceStorage,
-    len: u64,
-    reader: Box<dyn TraceRead + 't>,
-    state: ShadowState,
-}
-
-impl<'t> ReplayCursor<'t> {
-    /// A cursor over `trace` with empty state buffers.
-    pub fn new(trace: &'t dyn TraceStorage) -> Self {
-        ReplayCursor {
-            trace,
-            len: trace.len(),
-            reader: trace.new_reader(),
-            state: ShadowState::default(),
-        }
-    }
-
-    /// The trace this cursor walks.
-    pub fn trace(&self) -> &'t dyn TraceStorage {
-        self.trace
-    }
-
-    /// Clone one record out of the trace through this cursor's warm reader
-    /// (on the paged backend a fresh reader would decode a full segment per
-    /// lookup; site loops hit the same segments their replays just paged in).
-    pub fn fetch(&mut self, id: u64) -> Option<TraceRecord> {
-        self.reader.fetch(id)
-    }
-
-    /// Replay the trace from `start_index` (a record position, usually
-    /// `target_record_index + 1`) with the given initial corrupted
-    /// locations, examining at most `k` records.
-    ///
-    /// A `start_index` at or past the end of the trace examines nothing: the
-    /// verdict is then decided purely by whether corrupted *memory* is live
-    /// (registers of finished frames are dead state).
-    pub fn replay(
-        &mut self,
-        start_index: usize,
-        initial: &[CorruptLoc],
-        k: usize,
-    ) -> PropagationResult {
-        let state = &mut self.state;
-        state.reset(initial);
-        if state.is_clean() {
-            return PropagationResult::AllMasked { ops_examined: 0 };
-        }
-        let mut examined = 0usize;
-        let mut pos = start_index as u64;
-        while pos < self.len {
-            // One run = the longest contiguous decoded stretch from `pos`
-            // (the whole tail in memory, a segment suffix when paged).  An
-            // empty run before the end means the backend poisoned itself on
-            // a decode error; stop here — the harness surfaces the error.
-            let run = self.reader.run_from(pos);
-            if run.is_empty() {
-                break;
-            }
-            for rec in run {
-                if examined >= k {
-                    return PropagationResult::Unresolved {
-                        reason: UnresolvedReason::WindowExhausted,
-                        live_locations: state.live(),
-                    };
-                }
-                examined += 1;
-                match step(rec, state) {
-                    StepResult::Continue => {}
-                    StepResult::Unresolved(reason) => {
-                        return PropagationResult::Unresolved {
-                            reason,
-                            live_locations: state.live(),
-                        }
-                    }
-                }
-                if state.is_clean() {
-                    return PropagationResult::AllMasked {
-                        ops_examined: examined,
-                    };
-                }
-            }
-            pos += run.len() as u64;
-        }
-        // Trace ended.  Registers of finished frames are dead state; only
-        // corrupted memory can still influence the snapshot the outcome is
-        // compared on.
-        if state.mem_is_empty() {
-            PropagationResult::AllMasked {
-                ops_examined: examined,
-            }
-        } else {
-            PropagationResult::Unresolved {
-                reason: UnresolvedReason::TraceEnded,
-                live_locations: state.live(),
-            }
-        }
-    }
-}
-
-/// One-shot replay: build a throw-away [`ReplayCursor`] and run it.  Loops
-/// over many sites should hold a cursor instead to reuse its buffers.
+/// Replays the trace from `start_index` (a record position, usually
+/// `target_record_index + 1`) with the given initial corrupted locations,
+/// examining at most `k` records.  A `start_index` at or past the end of the
+/// trace examines nothing: the verdict is then decided purely by whether
+/// corrupted *memory* is live (registers of finished frames are dead state).
+///
+/// This is the oracle the parity tests compare [`ReplayEngine`]
+/// against, operation rule by operation rule; no analysis path calls it.
 pub fn replay(
     trace: &dyn TraceStorage,
     start_index: usize,
     initial: &[CorruptLoc],
     k: usize,
 ) -> PropagationResult {
-    ReplayCursor::new(trace).replay(start_index, initial, k)
+    let mut state = ShadowState::default();
+    state.reset(initial);
+    if state.is_clean() {
+        return PropagationResult::AllMasked { ops_examined: 0 };
+    }
+    let mut reader = trace.new_reader();
+    let len = trace.len();
+    let mut examined = 0usize;
+    let mut pos = start_index as u64;
+    while pos < len {
+        // One run = the longest contiguous decoded stretch from `pos` (the
+        // whole tail in memory, a segment suffix when paged).  An empty run
+        // before the end means the backend poisoned itself on a decode
+        // error; stop here — the harness surfaces the error.
+        let run = reader.run_from(pos);
+        if run.is_empty() {
+            break;
+        }
+        for rec in run {
+            if examined >= k {
+                return PropagationResult::Unresolved {
+                    reason: UnresolvedReason::WindowExhausted,
+                    live_locations: state.live(),
+                };
+            }
+            examined += 1;
+            match step(rec, &mut state) {
+                StepResult::Continue => {}
+                StepResult::Unresolved(reason) => {
+                    return PropagationResult::Unresolved {
+                        reason,
+                        live_locations: state.live(),
+                    }
+                }
+            }
+            if state.is_clean() {
+                return PropagationResult::AllMasked {
+                    ops_examined: examined,
+                };
+            }
+        }
+        pos += run.len() as u64;
+    }
+    // Trace ended.  Registers of finished frames are dead state; only
+    // corrupted memory can still influence the snapshot the outcome is
+    // compared on.
+    if state.mem_is_empty() {
+        PropagationResult::AllMasked {
+            ops_examined: examined,
+        }
+    } else {
+        PropagationResult::Unresolved {
+            reason: UnresolvedReason::TraceEnded,
+            live_locations: state.live(),
+        }
+    }
 }
 
-/// Maximum number of replays one [`BatchReplayCursor`] walk can carry: one
+/// Maximum number of replays one [`ReplayEngine`] walk can carry: one
 /// bit of a `u64` lane mask per replay.
 pub const MAX_REPLAY_LANES: usize = 64;
-
-/// Batch width for the lane-batched replay engine.
-///
-/// This is an *engine* knob, not an analysis parameter: any width (and `Off`)
-/// produces bit-identical reports, so it is deliberately kept out of
-/// [`crate::AnalysisConfig`] and its fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayBatch {
-    /// Sequential replay only: one walk per (site, pattern), the
-    /// pre-batching engine.
-    Off,
-    /// Batch up to this many (1..=64) replays per trace walk.
-    Width(u8),
-}
-
-impl Default for ReplayBatch {
-    fn default() -> Self {
-        ReplayBatch::Width(MAX_REPLAY_LANES as u8)
-    }
-}
-
-impl ReplayBatch {
-    /// A clamped width: `0` means `Off`, anything above 64 saturates to 64.
-    pub fn width(n: usize) -> Self {
-        if n == 0 {
-            ReplayBatch::Off
-        } else {
-            ReplayBatch::Width(n.min(MAX_REPLAY_LANES) as u8)
-        }
-    }
-
-    /// Lanes per walk, or `None` when batching is off.
-    pub fn lanes(&self) -> Option<usize> {
-        match self {
-            ReplayBatch::Off => None,
-            ReplayBatch::Width(n) => Some((*n as usize).clamp(1, MAX_REPLAY_LANES)),
-        }
-    }
-
-    /// Parse a `--replay-batch` flag value: `off`, or a width in 1..=64.
-    pub fn parse_flag(s: &str) -> Result<Self, String> {
-        if s.eq_ignore_ascii_case("off") {
-            return Ok(ReplayBatch::Off);
-        }
-        match s.parse::<usize>() {
-            Ok(n) if (1..=MAX_REPLAY_LANES).contains(&n) => Ok(ReplayBatch::Width(n as u8)),
-            _ => Err(format!(
-                "invalid replay batch '{s}': expected 'off' or a width in 1..={MAX_REPLAY_LANES}"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ReplayBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayBatch::Off => write!(f, "off"),
-            ReplayBatch::Width(n) => write!(f, "{n}"),
-        }
-    }
-}
 
 /// One scheduled replay in a batch: where the walk starts for this lane and
 /// the corrupted locations it seeds.
@@ -871,10 +764,10 @@ fn step(rec: &TraceRecord, state: &mut ShadowState) -> StepResult {
 /// The step logic mirrors [`step`] arm for arm.  For every record the lanes
 /// split into two classes by the operand masks: untainted lanes share one
 /// bulk kill/remove on the destination, tainted lanes re-evaluate the
-/// operation per lane with exactly the sequential rules.  Per-lane writes
+/// operation per lane with exactly the oracle's rules.  Per-lane writes
 /// touch only that lane's mask bit and value slot, and the operand masks are
 /// snapshotted before any write, so lanes cannot observe each other — which
-/// is what makes every verdict bit-identical to a sequential replay.
+/// is what makes every verdict bit-identical to the scalar [`replay`].
 struct BatchWalk<'a> {
     state: &'a mut BatchShadowState,
     results: &'a mut [Option<PropagationResult>],
@@ -1186,37 +1079,33 @@ impl BatchWalk<'_> {
     }
 }
 
-/// A reusable lane-batched replay cursor: up to [`MAX_REPLAY_LANES`] replays
-/// share one walk over the decoded records.
+/// The replay engine: a reusable lane-batched cursor on which up to
+/// [`MAX_REPLAY_LANES`] replays share one walk over the decoded records.
 ///
-/// Like [`ReplayCursor`] it owns its state buffers and a warm
-/// [`TraceRead`] reader, so on the paged backend one decoded segment now
-/// serves every lane in the batch instead of a single replay.
-pub struct BatchReplayCursor<'t> {
-    trace: &'t dyn TraceStorage,
+/// The engine owns its state buffers *and* a [`TraceRead`] reader, so a loop
+/// replaying many batches allocates nothing per walk and — on the paged
+/// backend — keeps a warm LRU of decoded segments that serves every lane in
+/// the batch.  The trace itself is only borrowed: any number of engines in
+/// any number of threads can walk the same trace concurrently.
+pub struct ReplayEngine<'t> {
     len: u64,
     reader: Box<dyn TraceRead + 't>,
     state: BatchShadowState,
 }
 
-impl<'t> BatchReplayCursor<'t> {
-    /// A cursor over `trace` with empty state buffers.
+impl<'t> ReplayEngine<'t> {
+    /// An engine over `trace` with empty state buffers.
     pub fn new(trace: &'t dyn TraceStorage) -> Self {
-        BatchReplayCursor {
-            trace,
+        ReplayEngine {
             len: trace.len(),
             reader: trace.new_reader(),
             state: BatchShadowState::default(),
         }
     }
 
-    /// The trace this cursor walks.
-    pub fn trace(&self) -> &'t dyn TraceStorage {
-        self.trace
-    }
-
-    /// Clone one record out of the trace through this cursor's warm reader
-    /// (same rationale as [`ReplayCursor::fetch`]).
+    /// Clone one record out of the trace through this engine's warm reader
+    /// (on the paged backend a fresh reader would decode a full segment per
+    /// lookup; site loops hit the same segments their replays just paged in).
     pub fn fetch(&mut self, id: u64) -> Option<TraceRecord> {
         self.reader.fetch(id)
     }
@@ -1230,9 +1119,8 @@ impl<'t> BatchReplayCursor<'t> {
     /// their start and retire individually; when no lane is live the walk
     /// skips straight to the next start.  Lanes the walk never reaches
     /// (start at/past the trace end, or beyond a poisoned backend's decode
-    /// error) fall back to the one-shot sequential [`replay`] — rare tail
-    /// cases where exactness matters more than batching.
-    pub fn replay_batch(
+    /// error) meet the end-of-trace rule with nothing examined.
+    pub fn replay_lanes(
         &mut self,
         batch: &[BatchLane],
         k: usize,
@@ -1300,7 +1188,7 @@ impl<'t> BatchReplayCursor<'t> {
                         continue 'walk;
                     }
                     // Per-lane window exhaustion, checked before the record
-                    // is examined (handles k = 0 like the sequential engine).
+                    // is examined (handles k = 0 like the scalar oracle).
                     for lane in iter_lanes(walk.active) {
                         if pos - starts[lane] >= k as u64 {
                             walk.retire_unresolved(lane, UnresolvedReason::WindowExhausted);
@@ -1317,9 +1205,18 @@ impl<'t> BatchReplayCursor<'t> {
                     pos += 1;
                 }
             }
+            // Lanes the walk never reached join the end-of-trace verdict
+            // below with nothing examined.
+            for lane in next_pending..n {
+                if walk.results[lane].is_none() {
+                    walk.state.seed_lane(lane, &batch[lane].corrupt);
+                    walk.active |= 1u64 << lane;
+                    starts[lane] = pos;
+                }
+            }
             // Trace ended (or the backend poisoned itself) with lanes still
-            // live: same verdict rule as the sequential engine — only
-            // corrupted *memory* survives the end of the trace.
+            // live: same verdict rule as the scalar oracle — only corrupted
+            // *memory* survives the end of the trace.
             let mem_live = walk.state.mem_union_mask();
             for lane in iter_lanes(walk.active) {
                 let examined = (pos - starts[lane]) as usize;
@@ -1335,13 +1232,6 @@ impl<'t> BatchReplayCursor<'t> {
                 });
             }
         }
-        // Lanes the walk never reached resolve through the exact sequential
-        // engine.
-        for (i, lane) in batch.iter().enumerate() {
-            if results[i].is_none() {
-                results[i] = Some(replay(self.trace, lane.start, &lane.corrupt, k));
-            }
-        }
         out.extend(results.into_iter().map(|r| r.expect("lane resolved")));
     }
 }
@@ -1350,7 +1240,7 @@ impl<'t> BatchReplayCursor<'t> {
 mod tests {
     use super::*;
     use moard_ir::prelude::*;
-    use moard_vm::{run_traced, Trace};
+    use moard_vm::{run_traced, run_traced_with, TraceBackendSpec, TraceData};
 
     /// x = a[0]; y = x * 2; a[1] = y; a[1] = 7.0; return a[1]
     /// An error in a[0] propagates into a[1] but is overwritten by the later
@@ -1561,74 +1451,40 @@ mod tests {
         );
     }
 
-    /// Test-only naive replay: the pre-index implementation, iterating the
-    /// full record list with `skip` instead of the zero-copy window cursor.
-    /// The parity tests below pin the indexed engine to this reference on
-    /// the window edge cases.
-    fn naive_replay(
-        trace: &Trace,
-        start_index: usize,
-        initial: &[CorruptLoc],
+    /// The engine's verdict for one lane walked alone.
+    fn engine(
+        trace: &dyn TraceStorage,
+        start: usize,
+        corrupt: &[CorruptLoc],
         k: usize,
     ) -> PropagationResult {
-        let mut state = ShadowState::default();
-        state.reset(initial);
-        if state.is_clean() {
-            return PropagationResult::AllMasked { ops_examined: 0 };
-        }
-        let mut examined = 0usize;
-        for rec in trace.iter().skip(start_index) {
-            if examined >= k {
-                return PropagationResult::Unresolved {
-                    reason: UnresolvedReason::WindowExhausted,
-                    live_locations: state.live(),
-                };
-            }
-            examined += 1;
-            match step(rec, &mut state) {
-                StepResult::Continue => {}
-                StepResult::Unresolved(reason) => {
-                    return PropagationResult::Unresolved {
-                        reason,
-                        live_locations: state.live(),
-                    }
-                }
-            }
-            if state.is_clean() {
-                return PropagationResult::AllMasked {
-                    ops_examined: examined,
-                };
-            }
-        }
-        if state.mem_is_empty() {
-            PropagationResult::AllMasked {
-                ops_examined: examined,
-            }
-        } else {
-            PropagationResult::Unresolved {
-                reason: UnresolvedReason::TraceEnded,
-                live_locations: state.live(),
-            }
-        }
+        let mut out = Vec::new();
+        ReplayEngine::new(trace).replay_lanes(
+            &[BatchLane {
+                start,
+                corrupt: corrupt.to_vec(),
+            }],
+            k,
+            &mut out,
+        );
+        out[0]
     }
 
-    fn corrupt_reg_seed(trace: &Trace, mnemonic: &str) -> (usize, Vec<CorruptLoc>) {
-        let rec = trace.iter().find(|r| r.mnemonic() == mnemonic).unwrap();
-        (
-            rec.id as usize + 1,
-            vec![CorruptLoc::Reg {
-                frame: rec.frame,
-                reg: rec.dst.unwrap(),
-                value: Value::F64(-123.25),
-            }],
-        )
+    /// A module traced on the in-memory backend and on a paged backend with
+    /// 16-record segments.
+    fn both_backends(m: &Module) -> [TraceData; 2] {
+        [
+            TraceBackendSpec::Memory,
+            TraceBackendSpec::Paged {
+                dir: None,
+                segment_records: 16,
+            },
+        ]
+        .map(|spec| run_traced_with(m, &spec).unwrap().1)
     }
 
     #[test]
     fn window_edge_site_at_trace_tail_matches_naive() {
-        let m = overwrite_later_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let len = trace.len();
         let mem_seed = vec![CorruptLoc::Mem {
             addr: 0x1008,
             value: Value::F64(-7.0),
@@ -1638,16 +1494,59 @@ mod tests {
             reg: moard_ir::RegId(0),
             value: Value::F64(-1.0),
         }];
-        // Replays starting at the last record, exactly at the end, and past
-        // the end: live memory must report TraceEnded, live registers of a
-        // finished program must count as masked.
-        for start in [len - 1, len, len + 10] {
-            for (seed, expect_masked) in [(&mem_seed, false), (&reg_seed, start >= len)] {
-                let indexed = replay(&trace, start, seed, 50);
-                let naive = naive_replay(&trace, start, seed, 50);
-                assert_eq!(indexed, naive, "start={start}");
-                if start >= len {
-                    assert_eq!(indexed.is_masked(), expect_masked, "start={start}");
+        // A repeated address counts once: the later value overwrites.
+        let dup_seed = vec![
+            CorruptLoc::Mem {
+                addr: 0x1008,
+                value: Value::F64(-7.0),
+            },
+            reg_seed[0].clone(),
+            CorruptLoc::Mem {
+                addr: 0x1008,
+                value: Value::F64(3.0),
+            },
+        ];
+        let trace_ended = |live_locations| PropagationResult::Unresolved {
+            reason: UnresolvedReason::TraceEnded,
+            live_locations,
+        };
+        for m in [overwrite_later_module(), parity_module()] {
+            for data in both_backends(&m) {
+                let len = data.len();
+                // Replays starting at the last record, exactly at the end,
+                // and past the end: live memory must report TraceEnded, live
+                // registers of a finished program must count as masked.
+                let mut batch = Vec::new();
+                for start in [len - 1, len, len + 10] {
+                    for (seed, at_end) in [
+                        (&mem_seed, trace_ended(1)),
+                        (&reg_seed, PropagationResult::AllMasked { ops_examined: 0 }),
+                        (&dup_seed, trace_ended(2)),
+                    ] {
+                        for k in [0, 50] {
+                            let want = replay(&data, start, seed, k);
+                            assert_eq!(engine(&data, start, seed, k), want, "start={start}");
+                            if start >= len {
+                                assert_eq!(want, at_end, "start={start} k={k}");
+                            }
+                        }
+                        batch.push(BatchLane {
+                            start,
+                            corrupt: seed.clone(),
+                        });
+                    }
+                }
+                // The same lanes sharing one walk with live lanes ahead of
+                // them.
+                let mut out = Vec::new();
+                ReplayEngine::new(&data).replay_lanes(&batch, 50, &mut out);
+                for (lane, got) in batch.iter().zip(&out) {
+                    assert_eq!(
+                        *got,
+                        replay(&data, lane.start, &lane.corrupt, 50),
+                        "start={}",
+                        lane.start
+                    );
                 }
             }
         }
@@ -1657,24 +1556,32 @@ mod tests {
     fn window_edge_k_exceeding_remaining_records_matches_naive() {
         let m = overwrite_later_module();
         let (_, trace) = run_traced(&m).unwrap();
-        let (start, seed) = corrupt_reg_seed(&trace, "fmul");
+        let fmul = trace.iter().find(|r| r.mnemonic() == "fmul").unwrap();
+        let start = fmul.id as usize + 1;
+        let seed = [CorruptLoc::Reg {
+            frame: fmul.frame,
+            reg: fmul.dst.unwrap(),
+            value: Value::F64(-123.25),
+        }];
         let remaining = trace.len() - start;
         // Windows straddling the tail: exactly the remaining records, one
-        // more, and far past the end all agree with the naive walk (the
+        // more, and far past the end all agree with the scalar oracle (the
         // clamp cannot double-count or skip the final records).
-        for k in [remaining, remaining + 1, remaining * 10 + 7] {
-            assert_eq!(
-                replay(&trace, start, &seed, k),
-                naive_replay(&trace, start, &seed, k),
-                "k={k}"
-            );
+        for data in both_backends(&m) {
+            for k in [remaining, remaining + 1, remaining * 10 + 7] {
+                assert_eq!(
+                    engine(&data, start, &seed, k),
+                    replay(&data, start, &seed, k),
+                    "k={k}"
+                );
+            }
         }
     }
 
     #[test]
     fn window_edge_strided_sites_in_last_partial_window_match_naive() {
         // Walk sites of a real object with a stride whose final step lands
-        // in the last partial window of the trace, and check indexed/naive
+        // in the last partial window of the trace, and check engine/oracle
         // parity of every replay — including sites whose window is shorter
         // than k.
         let m = overwrite_later_module();
@@ -1693,8 +1600,8 @@ mod tests {
                     value: Value::F64(99.5),
                 }];
                 assert_eq!(
+                    engine(&trace, start, &seed, k),
                     replay(&trace, start, &seed, k),
-                    naive_replay(&trace, start, &seed, k),
                     "stride={stride} site at record {}",
                     site.record_id
                 );
@@ -1773,8 +1680,8 @@ mod tests {
             let (_, trace) = run_traced(&m).unwrap();
             // Lanes from every record: a type-correct bit flip of each
             // destination register, periodic multi-location memory seeds, a
-            // mixed reg+mem seed, plus tail starts at and past the trace end
-            // and a trivially-masked empty seed.
+            // mixed reg+mem seed, plus a trivially-masked empty seed (tail
+            // starts at and past the trace end are the window-edge tests').
             let mut lanes: Vec<BatchLane> = Vec::new();
             lanes.push(BatchLane {
                 start: 0,
@@ -1826,26 +1733,10 @@ mod tests {
                     }
                 }
             }
-            let len = trace.len();
-            lanes.push(BatchLane {
-                start: len,
-                corrupt: vec![CorruptLoc::Mem {
-                    addr: 0x1000,
-                    value: Value::F64(1.5),
-                }],
-            });
-            lanes.push(BatchLane {
-                start: len + 9,
-                corrupt: vec![CorruptLoc::Reg {
-                    frame: 0,
-                    reg: moard_ir::RegId(0),
-                    value: Value::I64(7),
-                }],
-            });
             lanes.sort_by_key(|l| l.start);
             max_lanes = max_lanes.max(lanes.len());
 
-            let mut cursor = BatchReplayCursor::new(&trace);
+            let mut engine = ReplayEngine::new(&trace);
             for k in [0usize, 1, 3, 10, 50, 100_000] {
                 let sequential: Vec<PropagationResult> = lanes
                     .iter()
@@ -1854,54 +1745,12 @@ mod tests {
                 for width in [1usize, 3, 7, 64] {
                     let mut batched = Vec::new();
                     for chunk in lanes.chunks(width) {
-                        cursor.replay_batch(chunk, k, &mut batched);
+                        engine.replay_lanes(chunk, k, &mut batched);
                     }
                     assert_eq!(batched, sequential, "k={k} width={width}");
                 }
             }
         }
         assert!(max_lanes > MAX_REPLAY_LANES, "population fills a batch");
-    }
-
-    #[test]
-    fn replay_batch_flag_parsing() {
-        assert_eq!(ReplayBatch::parse_flag("off"), Ok(ReplayBatch::Off));
-        assert_eq!(ReplayBatch::parse_flag("OFF"), Ok(ReplayBatch::Off));
-        assert_eq!(ReplayBatch::parse_flag("1"), Ok(ReplayBatch::Width(1)));
-        assert_eq!(ReplayBatch::parse_flag("64"), Ok(ReplayBatch::Width(64)));
-        assert!(ReplayBatch::parse_flag("0").is_err());
-        assert!(ReplayBatch::parse_flag("65").is_err());
-        assert!(ReplayBatch::parse_flag("fast").is_err());
-        assert_eq!(ReplayBatch::width(0), ReplayBatch::Off);
-        assert_eq!(ReplayBatch::width(200), ReplayBatch::Width(64));
-        assert_eq!(ReplayBatch::default().lanes(), Some(64));
-        assert_eq!(ReplayBatch::Off.lanes(), None);
-        assert_eq!(ReplayBatch::Width(7).to_string(), "7");
-        assert_eq!(ReplayBatch::Off.to_string(), "off");
-    }
-
-    #[test]
-    fn cursor_reuse_is_equivalent_to_one_shot_replay() {
-        let m = overwrite_later_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let (start, seed) = corrupt_reg_seed(&trace, "fmul");
-        let mut cursor = ReplayCursor::new(&trace);
-        // Same underlying storage (compare data pointers; the trait object
-        // reference is fat).
-        assert!(std::ptr::eq(
-            cursor.trace() as *const dyn TraceStorage as *const u8,
-            &trace as *const moard_vm::Trace as *const u8
-        ));
-        for _ in 0..3 {
-            for k in [1usize, 2, 50] {
-                assert_eq!(
-                    cursor.replay(start, &seed, k),
-                    replay(&trace, start, &seed, k)
-                );
-            }
-            // Interleave a replay that leaves live state in the buffers to
-            // prove reset fully isolates successive replays.
-            let _ = cursor.replay(trace.len() - 1, &seed, 50);
-        }
     }
 }

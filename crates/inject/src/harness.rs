@@ -17,7 +17,6 @@ use crate::random::{run_rfi, RfiConfig};
 use crate::stats::CampaignStats;
 use moard_core::{
     enumerate_sites, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError, ParticipationSite,
-    ReplayBatch,
 };
 use moard_vm::{
     DataObjectRegistry, ExecOutcome, ObjectId, TraceBackendSpec, TraceData, Vm, VmConfig,
@@ -39,10 +38,6 @@ pub struct WorkloadHarness {
     /// Data-object table, resolved once at construction (object lookups used
     /// to rebuild a whole `Vm` per call).
     objects: DataObjectRegistry,
-    /// Replay-engine selection applied to every analyzer this harness
-    /// constructs.  An execution-resource choice like the trace backend —
-    /// never an analysis input (reports are bit-identical either way).
-    replay_batch: ReplayBatch,
 }
 
 impl WorkloadHarness {
@@ -77,19 +72,7 @@ impl WorkloadHarness {
             trace,
             traced_outcome,
             objects,
-            replay_batch: ReplayBatch::default(),
         })
-    }
-
-    /// Select the replay engine (lane-batched width or `Off`) for every
-    /// analysis this harness runs.  Verdicts are bit-identical regardless.
-    pub fn set_replay_batch(&mut self, replay_batch: ReplayBatch) {
-        self.replay_batch = replay_batch;
-    }
-
-    /// The replay-engine selection in use.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// Prepare the harness for a workload selected by name from the built-in
@@ -229,7 +212,7 @@ impl WorkloadHarness {
                 object: object.to_string(),
             });
         }
-        let analyzer = AdvfAnalyzer::new(&self.trace, config).with_replay_batch(self.replay_batch);
+        let analyzer = AdvfAnalyzer::new(&self.trace, config);
         let resolver = use_dfi.then_some(&self.injector as &dyn moard_core::DfiResolver);
         let report = analyzer.analyze(id, object, self.workload().name(), resolver);
         self.check_trace()?;
@@ -291,47 +274,11 @@ impl WorkloadHarness {
         for object in objects {
             self.object_id(object)?;
         }
-        let workers = parallelism.worker_count();
-        // A single analytic object offers no across-object parallelism;
-        // shard its participation sites across the workers instead.  The
-        // report stays bit-identical to a sequential run (ordered fold; see
-        // `AdvfAnalyzer::analyze_sharded`).  The DFI path keeps per-object
-        // fan-out only: a shared injection cache across site shards would
-        // make run/hit tallies scheduling-dependent.
-        if !use_dfi && objects.len() == 1 && workers > 1 {
-            return Ok(vec![self.analyze_sharded_inner(
-                &objects[0],
-                config,
-                workers,
-            )?]);
-        }
-        crate::campaign::run_indexed(workers, objects.len(), |i| {
+        crate::campaign::run_indexed(parallelism.worker_count(), objects.len(), |i| {
             self.analyze_inner(&objects[i], config.clone(), use_dfi)
         })
         .into_iter()
         .collect()
-    }
-
-    fn analyze_sharded_inner(
-        &self,
-        object: &str,
-        config: &AnalysisConfig,
-        workers: usize,
-    ) -> Result<AdvfReport, MoardError> {
-        let id = self.object_id(object)?;
-        if !moard_core::has_sites(&self.trace, id) {
-            // See analyze_inner: a poisoned trace outranks an empty result.
-            self.check_trace()?;
-            return Err(MoardError::NoParticipationSites {
-                workload: self.workload().name().to_string(),
-                object: object.to_string(),
-            });
-        }
-        let analyzer =
-            AdvfAnalyzer::new(&self.trace, config.clone()).with_replay_batch(self.replay_batch);
-        let report = analyzer.analyze_sharded(id, object, self.workload().name(), workers);
-        self.check_trace()?;
-        Ok(report)
     }
 
     /// Exhaustive (or strided) fault-injection campaign over one object.
@@ -389,7 +336,6 @@ impl WorkloadHarness {
 pub struct HarnessCache {
     map: std::sync::RwLock<std::collections::HashMap<String, std::sync::Arc<WorkloadHarness>>>,
     backend: TraceBackendSpec,
-    replay_batch: ReplayBatch,
 }
 
 impl HarnessCache {
@@ -406,20 +352,9 @@ impl HarnessCache {
         }
     }
 
-    /// Select the replay engine every harness this cache prepares will use.
-    pub fn with_replay_batch(mut self, replay_batch: ReplayBatch) -> HarnessCache {
-        self.replay_batch = replay_batch;
-        self
-    }
-
     /// The trace backend this cache prepares harnesses with.
     pub fn backend(&self) -> &TraceBackendSpec {
         &self.backend
-    }
-
-    /// The replay engine this cache's harnesses analyze with.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// The canonical cache key of a workload name or alias: aliases of the
@@ -448,9 +383,11 @@ impl HarnessCache {
         // preparers of the same workload build identical harnesses (the
         // pipeline is deterministic); the first insert wins and the loser's
         // copy is dropped.
-        let mut harness = WorkloadHarness::by_name_in_with(registry, name, &self.backend)?;
-        harness.set_replay_batch(self.replay_batch);
-        let harness = std::sync::Arc::new(harness);
+        let harness = std::sync::Arc::new(WorkloadHarness::by_name_in_with(
+            registry,
+            name,
+            &self.backend,
+        )?);
         let mut map = self.map.write().expect("harness cache poisoned");
         Ok(map.entry(key).or_insert(harness).clone())
     }
@@ -579,6 +516,8 @@ mod tests {
 
     #[test]
     fn sharded_single_object_analytic_run_is_bit_identical_to_sequential() {
+        // One analytic object under a worker pool: the per-object fan-out
+        // must leave its report untouched.
         let h = WorkloadHarness::new(Box::new(MatMul::default())).unwrap();
         let config = AnalysisConfig {
             site_stride: 8,

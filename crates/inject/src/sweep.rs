@@ -694,7 +694,6 @@ pub struct StudyRunner {
     cancel: CancelToken,
     harness_cache: Option<Arc<HarnessCache>>,
     trace_backend: moard_vm::TraceBackendSpec,
-    replay_batch: moard_core::ReplayBatch,
 }
 
 impl StudyRunner {
@@ -709,7 +708,6 @@ impl StudyRunner {
             cancel: CancelToken::new(),
             harness_cache: None,
             trace_backend: moard_vm::TraceBackendSpec::Memory,
-            replay_batch: moard_core::ReplayBatch::default(),
         }
     }
 
@@ -772,15 +770,6 @@ impl StudyRunner {
         self
     }
 
-    /// Replay-engine selection for harnesses this runner prepares itself
-    /// (lane-batched width 64 by default).  With a
-    /// [`StudyRunner::harness_cache`], the cache's own setting wins.  Never
-    /// part of any task fingerprint: verdicts are bit-identical either way.
-    pub fn replay_batch(mut self, replay_batch: moard_core::ReplayBatch) -> Self {
-        self.replay_batch = replay_batch;
-        self
-    }
-
     /// Run the study against the built-in workload registry.
     pub fn run(&self) -> Result<StudyReport, MoardError> {
         self.run_in(moard_workloads::builtin_registry())
@@ -836,10 +825,7 @@ impl StudyRunner {
             run_indexed(workers, need.len(), |i| match &self.harness_cache {
                 Some(cache) => cache.get_or_prepare(registry, need[i]),
                 None => WorkloadHarness::by_name_in_with(registry, need[i], &self.trace_backend)
-                    .map(|mut h| {
-                        h.set_replay_batch(self.replay_batch);
-                        Arc::new(h)
-                    }),
+                    .map(Arc::new),
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;

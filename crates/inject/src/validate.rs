@@ -444,7 +444,6 @@ pub struct ValidationRunner {
     cancel: CancelToken,
     harness_cache: Option<Arc<HarnessCache>>,
     trace_backend: moard_vm::TraceBackendSpec,
-    replay_batch: moard_core::ReplayBatch,
 }
 
 impl ValidationRunner {
@@ -459,7 +458,6 @@ impl ValidationRunner {
             cancel: CancelToken::new(),
             harness_cache: None,
             trace_backend: moard_vm::TraceBackendSpec::Memory,
-            replay_batch: moard_core::ReplayBatch::default(),
         }
     }
 
@@ -518,16 +516,6 @@ impl ValidationRunner {
     /// fingerprint: reports are bit-identical across backends.
     pub fn trace_backend(mut self, backend: moard_vm::TraceBackendSpec) -> Self {
         self.trace_backend = backend;
-        self
-    }
-
-    /// Replay-engine selection for harnesses this runner prepares itself
-    /// (lane-batched width 64 by default).  With a
-    /// [`ValidationRunner::harness_cache`], the cache's own setting wins.
-    /// Never part of any cell fingerprint: verdicts are bit-identical
-    /// either way.
-    pub fn replay_batch(mut self, replay_batch: moard_core::ReplayBatch) -> Self {
-        self.replay_batch = replay_batch;
         self
     }
 
@@ -595,10 +583,7 @@ impl ValidationRunner {
             run_indexed(workers, need.len(), |i| match &self.harness_cache {
                 Some(cache) => cache.get_or_prepare(registry, need[i]),
                 None => WorkloadHarness::by_name_in_with(registry, need[i], &self.trace_backend)
-                    .map(|mut h| {
-                        h.set_replay_batch(self.replay_batch);
-                        Arc::new(h)
-                    }),
+                    .map(Arc::new),
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;

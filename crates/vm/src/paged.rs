@@ -1395,7 +1395,7 @@ struct CachedSegment {
 /// the same immutable trace.
 ///
 /// Decode amortization is what makes this backend pay off under lane-batched
-/// replay: a `BatchReplayCursor` walking up to 64 fault lanes issues one
+/// replay: a `ReplayEngine` walking up to 64 fault lanes issues one
 /// `run_from` per trace position, so each decoded segment here serves up to
 /// 64 replays instead of one before it can be evicted.
 pub struct PagedReader<'t> {

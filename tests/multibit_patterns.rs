@@ -1,7 +1,7 @@
 //! Acceptance tests of the pattern-generalized fault engine: multi-bit
 //! error patterns behave as first-class citizens of the whole pipeline —
 //! degenerate multi-bit sets reduce exactly to the single-bit engine,
-//! sharded multi-bit analysis is bit-identical to sequential, and the
+//! multi-bit sessions are bit-identical at any worker count, and the
 //! validation engine's site × pattern RFI streams are invariant under the
 //! thread count.
 
@@ -49,8 +49,8 @@ fn adjacent_width_one_analysis_is_bit_identical_to_single_bit() {
     assert_eq!(explicit.reports[0].accumulator, s.accumulator);
 }
 
-/// (b) Sharded multi-bit analysis folds per-site fractions in site order
-/// and pattern-class tallies as exact integer sums, so any worker count
+/// (b) A multi-bit session folds per-site fractions in site order and
+/// pattern-class tallies as exact integer sums, so any worker count
 /// reproduces the sequential report bit-for-bit.
 #[test]
 fn multibit_sharded_analysis_is_bit_identical_to_sequential() {
