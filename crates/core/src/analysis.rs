@@ -682,14 +682,13 @@ mod tests {
         like: &AdvfReport,
     ) -> AdvfReport {
         let k = analyzer.config.propagation_window;
-        let (mut lanes, mut fallback) = (0u64, 0u64);
-        let mut replay_masks = |rec: &TraceRecord, corrupt: &[CorruptLoc]| {
-            let start = rec.id as usize + 1;
-            let masked = crate::propagation::replay(analyzer.trace, start, corrupt, k).is_masked();
-            lanes += 1;
-            fallback += u64::from(!masked);
-            masked
-        };
+        // One entry per replayed lane: whether the scalar replay masked it.
+        // The lane counts are derived from it after the loop.  They are not
+        // tallied inside a closure called from a match guard: in release
+        // builds, rustc 1.95's `SimplifyComparisonIntegral` MIR pass moved
+        // that guard's switch onto the discriminant and dropped the bool
+        // that `u64::from(!masked)` still read, so the count came out 0.
+        let mut replays: Vec<bool> = Vec::new();
         let sites = analyzer.pattern_sites(object);
         let mut reader = analyzer.trace.new_reader();
         let (mut accumulator, mut pattern_tallies) = (AdvfAccumulator::new(), Vec::new());
@@ -699,10 +698,22 @@ mod tests {
             let patterns = analyzer.config.patterns.patterns_for(site.value.ty());
             let (fractions, used_dfi) = fold_site(&patterns, &mut pattern_tallies, |_, pattern| {
                 let dfi = || analyzer.resolve_dfi(&rec, site, pattern, resolver);
-                match analyze_operation(&rec, site.slot, pattern) {
+                let verdict = analyze_operation(&rec, site.slot, pattern);
+                let replay_masked = match &verdict {
+                    OpVerdict::OvershadowCandidate { corrupt }
+                    | OpVerdict::Propagate { corrupt } => {
+                        let start = rec.id as usize + 1;
+                        let result = crate::propagation::replay(analyzer.trace, start, corrupt, k);
+                        let masked = result.is_masked();
+                        replays.push(masked);
+                        masked
+                    }
+                    _ => false,
+                };
+                match verdict {
                     OpVerdict::Masked(kind) => (Masking::Operation(kind), false),
                     OpVerdict::NotMasked => (Masking::NotMasked, false),
-                    OpVerdict::OvershadowCandidate { corrupt } if replay_masks(&rec, &corrupt) => {
+                    OpVerdict::OvershadowCandidate { .. } if replay_masked => {
                         (Masking::Operation(OpMaskKind::Overshadowing), false)
                     }
                     OpVerdict::OvershadowCandidate { .. } => match dfi() {
@@ -712,9 +723,7 @@ mod tests {
                         Some(_) => (Masking::NotMasked, true),
                         None => (Masking::NotMasked, false),
                     },
-                    OpVerdict::Propagate { corrupt } if replay_masks(&rec, &corrupt) => {
-                        (Masking::Propagation, false)
-                    }
+                    OpVerdict::Propagate { .. } if replay_masked => (Masking::Propagation, false),
                     OpVerdict::Propagate { .. } | OpVerdict::NeedsDfi => match dfi() {
                         Some(OutcomeClass::Identical) => (Masking::Propagation, true),
                         Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
@@ -735,8 +744,8 @@ mod tests {
             resolved_analytically,
             dfi_budget_exhausted: analyzer.dfi_budget_exhausted.load(Ordering::Relaxed),
             pattern_tallies,
-            lanes_batched: lanes,
-            batch_fallback_lanes: fallback,
+            lanes_batched: replays.len() as u64,
+            batch_fallback_lanes: replays.iter().filter(|&&masked| !masked).count() as u64,
             ..like.clone()
         }
     }

@@ -92,7 +92,7 @@ const CACHE_STRIPES: usize = 16;
 
 /// A concurrent memoization layer over a [`DfiResolver`].
 ///
-/// The map is *lock-striped*: keys hash to one of [`CACHE_STRIPES`]
+/// The map is *lock-striped*: keys hash to one of `CACHE_STRIPES`
 /// independently locked shards, so concurrent workers resolving faults at
 /// different static sites never serialize on a single global lock.  The
 /// stats are plain atomics.  Two workers racing on the *same* key may both

@@ -3,7 +3,7 @@
 //! and kill/restart resume.
 
 use moard_core::AnalysisConfig;
-use moard_server::{Client, Daemon, DaemonConfig, Priority, Request, Response};
+use moard_server::{read_frame, Client, Daemon, DaemonConfig, Priority, Request, Response};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -114,6 +114,17 @@ fn garbage_frames_get_error_responses_never_a_hang_or_panic() {
     let mut raw = TcpStream::connect(daemon.addr()).unwrap();
     raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
     raw.flush().unwrap();
+    // The daemon counts the rejection before it answers, so reading the
+    // answer orders the `frames_rejected` check below after the count.
+    let answer = read_frame(&mut raw)
+        .unwrap()
+        .expect("the rejection is answered");
+    let answer = String::from_utf8(answer).unwrap();
+    assert!(answer.contains("exceeds"), "{answer}");
+    assert!(
+        read_frame(&mut raw).unwrap().is_none(),
+        "then the connection closes"
+    );
     let mut oversized = Client::connect(daemon.addr()).unwrap();
     oversized.ping().unwrap(); // daemon is alive and serving others
 

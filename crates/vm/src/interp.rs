@@ -11,6 +11,16 @@
 //! * execute with a single deterministic fault ([`FaultSpec`]) applied at an
 //!   exact dynamic instruction, which is how the model resolves
 //!   overshadowing, propagation, and algorithm-level masking questions.
+//!
+//! All three share one interpreter loop, compiled twice through a
+//! `const TRACED: bool` parameter.  Traced runs ([`Vm::execute_traced`],
+//! [`Vm::execute_traced_with`]) carry the provenance the trace records need:
+//! each register's source element and taint set, the taint of every stored
+//! memory word, and the element and overwritten value of every access.
+//! Golden and injected runs ([`Vm::execute`], [`Vm::execute_with_fault`])
+//! use the untraced instantiation, where all of that is compiled out; they
+//! keep every bounds check, trap, fault-application rule and the step
+//! budget, so their outcomes are bit-identical to a traced run's.
 
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::memory::Memory;
@@ -83,6 +93,7 @@ struct Frame {
     block: BlockId,
     inst: usize,
     regs: Vec<Value>,
+    /// Per-register source element and taint; empty in untraced runs.
     prov: Vec<Option<(ObjectId, u64)>>,
     taint: Vec<TaintSet>,
     /// Register in the *caller* frame that receives this frame's return value.
@@ -175,13 +186,13 @@ impl<'m> Vm<'m> {
 
     /// Execute without tracing or faults (the golden run).
     pub fn execute(mut self) -> ExecOutcome {
-        self.run(None, None)
+        self.run::<false>(None, None)
     }
 
     /// Execute while recording the full dynamic trace in memory.
     pub fn execute_traced(mut self) -> (ExecOutcome, Trace) {
         let mut builder = TraceBuilder::Memory(Trace::default());
-        let outcome = self.run(None, Some(&mut builder));
+        let outcome = self.run::<true>(None, Some(&mut builder));
         match builder {
             TraceBuilder::Memory(trace) => (outcome, trace),
             TraceBuilder::Paged(_) => unreachable!("memory builder stays memory"),
@@ -197,18 +208,25 @@ impl<'m> Vm<'m> {
         spec: &TraceBackendSpec,
     ) -> Result<(ExecOutcome, TraceData), VmError> {
         let mut builder = TraceBuilder::for_spec(spec)?;
-        let outcome = self.run(None, Some(&mut builder));
+        let outcome = self.run::<true>(None, Some(&mut builder));
         Ok((outcome, builder.finish()?))
     }
 
     /// Execute with a deterministic fault applied.
     pub fn execute_with_fault(mut self, fault: &FaultSpec) -> ExecOutcome {
-        self.run(Some(fault), None)
+        self.run::<false>(Some(fault), None)
     }
 
-    fn new_frame(&self, func: FuncId, frame_id: u64, ret_dst: Option<RegId>) -> Frame {
+    /// A fresh activation.  Untraced frames get empty `prov` and `taint`
+    /// vectors, which do not allocate.
+    fn new_frame<const TRACED: bool>(
+        &self,
+        func: FuncId,
+        frame_id: u64,
+        ret_dst: Option<RegId>,
+    ) -> Frame {
         let f = self.module.function(func);
-        let n = f.num_regs();
+        let n = if TRACED { f.num_regs() } else { 0 };
         Frame {
             func,
             frame_id,
@@ -247,7 +265,8 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn eval_operand(&self, frame: &Frame, op: &Operand) -> OpVal {
+    /// Evaluate `op`; only traced runs copy the register's provenance.
+    fn eval_operand<const TRACED: bool>(&self, frame: &Frame, op: &Operand) -> OpVal {
         match op {
             Operand::Const(v) => OpVal {
                 value: *v,
@@ -255,12 +274,20 @@ impl<'m> Vm<'m> {
                 element: None,
                 taint: TaintSet::empty(),
             },
-            Operand::Reg(r) => OpVal {
-                value: frame.regs[r.0 as usize],
-                source: ValueSource::Reg(*r),
-                element: frame.prov[r.0 as usize],
-                taint: frame.taint[r.0 as usize].clone(),
-            },
+            Operand::Reg(r) => {
+                let r_idx = r.0 as usize;
+                let (element, taint) = if TRACED {
+                    (frame.prov[r_idx], frame.taint[r_idx].clone())
+                } else {
+                    (None, TaintSet::empty())
+                };
+                OpVal {
+                    value: frame.regs[r_idx],
+                    source: ValueSource::Reg(*r),
+                    element,
+                    taint,
+                }
+            }
             Operand::Global(g) => OpVal {
                 value: Value::Ptr(self.global_bases[g.0 as usize]),
                 source: ValueSource::GlobalBase,
@@ -270,7 +297,8 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn set_reg(
+    /// Write `dst`; only traced runs record its provenance and taint.
+    fn set_reg<const TRACED: bool>(
         frame: &mut Frame,
         dst: RegId,
         value: Value,
@@ -278,8 +306,20 @@ impl<'m> Vm<'m> {
         taint: TaintSet,
     ) {
         frame.regs[dst.0 as usize] = value;
-        frame.prov[dst.0 as usize] = prov;
-        frame.taint[dst.0 as usize] = taint;
+        if TRACED {
+            frame.prov[dst.0 as usize] = prov;
+            frame.taint[dst.0 as usize] = taint;
+        }
+    }
+
+    /// The taint of a value computed from `a` and `b`; untraced runs keep
+    /// none.
+    fn joint_taint<const TRACED: bool>(a: &OpVal, b: &OpVal) -> TaintSet {
+        if TRACED {
+            TaintSet::union(&a.taint, &b.taint)
+        } else {
+            TaintSet::empty()
+        }
     }
 
     /// Apply an operand-targeted fault if `fault` matches this dynamic
@@ -311,32 +351,41 @@ impl<'m> Vm<'m> {
         result
     }
 
-    /// The main interpreter loop.  `sink`, when present, receives one
-    /// [`TraceRecord`] per dynamic operation (either backend; pushes are
-    /// infallible on this hot path — see [`TraceBuilder::push`]).
-    fn run(
+    /// The interpreter loop, compiled twice.  `run::<true>` keeps the data
+    /// semantics — register provenance, taint sets, memory taint, the
+    /// element and overwritten value of every access — and hands one
+    /// [`TraceRecord`] per dynamic operation to `sink` (either backend;
+    /// pushes are infallible on this hot path — see [`TraceBuilder::push`]).
+    /// `run::<false>` executes the same instructions, faults, traps and step
+    /// budget with all of that compiled out; its `sink` is ignored.
+    fn run<const TRACED: bool>(
         &mut self,
         fault: Option<&FaultSpec>,
         mut sink: Option<&mut TraceBuilder>,
     ) -> ExecOutcome {
-        let entry = self.module.entry_id();
-        let mut frames: Vec<Frame> = vec![self.new_frame(entry, 0, None)];
+        // A copy of the module reference, so instructions borrowed from it
+        // do not borrow `self`.
+        let module = self.module;
+        let entry = module.entry_id();
+        let mut frames: Vec<Frame> = vec![self.new_frame::<TRACED>(entry, 0, None)];
         let mut next_frame_id: u64 = 1;
         let mut dyn_id: u64 = 0;
         let mut mem_taint: HashMap<u64, TaintSet> = HashMap::new();
 
         macro_rules! emit {
             ($frame:expr, $inst_idx:expr, $dst:expr, $op:expr) => {
-                if let Some(t) = sink.as_deref_mut() {
-                    t.push(TraceRecord {
-                        id: dyn_id,
-                        frame: $frame.frame_id,
-                        func: $frame.func,
-                        block: $frame.block,
-                        inst: $inst_idx,
-                        dst: $dst,
-                        op: $op,
-                    });
+                if TRACED {
+                    if let Some(t) = sink.as_deref_mut() {
+                        t.push(TraceRecord {
+                            id: dyn_id,
+                            frame: $frame.frame_id,
+                            func: $frame.func,
+                            block: $frame.block,
+                            inst: $inst_idx,
+                            dst: $dst,
+                            op: $op,
+                        });
+                    }
                 }
             };
         }
@@ -350,23 +399,21 @@ impl<'m> Vm<'m> {
             let func = frames[frame_idx].func;
             let block = frames[frame_idx].block;
             let inst_idx = frames[frame_idx].inst;
-            let function = self.module.function(func);
-            let blk = function.block(block);
+            let blk = module.function(func).block(block);
 
             if inst_idx < blk.insts.len() {
-                let inst = blk.insts[inst_idx].clone();
                 frames[frame_idx].inst += 1;
                 let frame = &mut frames[frame_idx];
-                match inst {
+                match blk.insts[inst_idx] {
                     Inst::Bin {
                         op,
                         ty,
-                        lhs,
-                        rhs,
+                        ref lhs,
+                        ref rhs,
                         dst,
                     } => {
-                        let mut a = self.eval_operand(frame, &lhs);
-                        let mut b = self.eval_operand(frame, &rhs);
+                        let mut a = self.eval_operand::<TRACED>(frame, lhs);
+                        let mut b = self.eval_operand::<TRACED>(frame, rhs);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 1, &mut b, frame);
                         let result = match eval_binop(op, ty, &a.value, &b.value) {
@@ -388,17 +435,17 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&a.taint, &b.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        let taint = Self::joint_taint::<TRACED>(&a, &b);
+                        Self::set_reg::<TRACED>(frame, dst, result, None, taint);
                     }
                     Inst::Cmp {
                         pred,
-                        lhs,
-                        rhs,
+                        ref lhs,
+                        ref rhs,
                         dst,
                     } => {
-                        let mut a = self.eval_operand(frame, &lhs);
-                        let mut b = self.eval_operand(frame, &rhs);
+                        let mut a = self.eval_operand::<TRACED>(frame, lhs);
+                        let mut b = self.eval_operand::<TRACED>(frame, rhs);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 1, &mut b, frame);
                         let result = eval_cmp(pred, &a.value, &b.value).unwrap_or(Value::I1(false));
@@ -414,11 +461,16 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&a.taint, &b.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        let taint = Self::joint_taint::<TRACED>(&a, &b);
+                        Self::set_reg::<TRACED>(frame, dst, result, None, taint);
                     }
-                    Inst::Cast { kind, to, src, dst } => {
-                        let mut s = self.eval_operand(frame, &src);
+                    Inst::Cast {
+                        kind,
+                        to,
+                        ref src,
+                        dst,
+                    } => {
+                        let mut s = self.eval_operand::<TRACED>(frame, src);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut s, frame);
                         let result = match eval_cast(kind, to, &s.value) {
                             Ok(v) => v,
@@ -438,10 +490,10 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        Self::set_reg(frame, dst, result, None, s.taint);
+                        Self::set_reg::<TRACED>(frame, dst, result, None, s.taint);
                     }
-                    Inst::Load { ty, addr, dst } => {
-                        let mut a = self.eval_operand(frame, &addr);
+                    Inst::Load { ty, ref addr, dst } => {
+                        let mut a = self.eval_operand::<TRACED>(frame, addr);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
                         let address = a.value.as_u64();
                         // A fault targeting the loaded value corrupts the
@@ -471,7 +523,11 @@ impl<'m> Vm<'m> {
                             }
                         };
                         let value = Self::maybe_inject_result(fault, dyn_id, value);
-                        let element = self.objects.locate(address);
+                        let element = if TRACED {
+                            self.objects.locate(address)
+                        } else {
+                            None
+                        };
                         emit!(
                             frame,
                             inst_idx as u32,
@@ -484,15 +540,24 @@ impl<'m> Vm<'m> {
                                 result: value,
                             }
                         );
-                        let mut taint = mem_taint.get(&address).cloned().unwrap_or_default();
-                        if let Some((o, e)) = element {
-                            taint.insert(o, e);
-                        }
-                        Self::set_reg(frame, dst, value, element, taint);
+                        let taint = if TRACED {
+                            let mut taint = mem_taint.get(&address).cloned().unwrap_or_default();
+                            if let Some((o, e)) = element {
+                                taint.insert(o, e);
+                            }
+                            taint
+                        } else {
+                            TaintSet::empty()
+                        };
+                        Self::set_reg::<TRACED>(frame, dst, value, element, taint);
                     }
-                    Inst::Store { ty, value, addr } => {
-                        let mut v = self.eval_operand(frame, &value);
-                        let mut a = self.eval_operand(frame, &addr);
+                    Inst::Store {
+                        ty,
+                        ref value,
+                        ref addr,
+                    } => {
+                        let mut v = self.eval_operand::<TRACED>(frame, value);
+                        let mut a = self.eval_operand::<TRACED>(frame, addr);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut v, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 1, &mut a, frame);
                         let address = a.value.as_u64();
@@ -512,11 +577,16 @@ impl<'m> Vm<'m> {
                                 );
                             }
                         }
-                        let element = self.objects.locate(address);
-                        let overwritten = self.memory.load(ty, address).unwrap_or(Value::zero(ty));
-                        let depends = match element {
-                            Some((o, e)) => v.taint.may_depend_on(o, e),
-                            None => false,
+                        // Only traces record the destination element, the
+                        // value it held and whether the new value depends on it.
+                        let (element, overwritten, depends) = if TRACED {
+                            let element = self.objects.locate(address);
+                            let overwritten =
+                                self.memory.load(ty, address).unwrap_or(Value::zero(ty));
+                            let depends = element.is_some_and(|(o, e)| v.taint.may_depend_on(o, e));
+                            (element, overwritten, depends)
+                        } else {
+                            (None, Value::zero(ty), false)
                         };
                         if let Err(e) = self.memory.store(ty, address, v.value) {
                             return self.finish(ExecStatus::MemFault(e.to_string()), None, dyn_id);
@@ -535,20 +605,22 @@ impl<'m> Vm<'m> {
                                 value_depends_on_dest: depends,
                             }
                         );
-                        if v.taint.is_empty() {
-                            mem_taint.remove(&address);
-                        } else {
-                            mem_taint.insert(address, v.taint.clone());
+                        if TRACED {
+                            if v.taint.is_empty() {
+                                mem_taint.remove(&address);
+                            } else {
+                                mem_taint.insert(address, v.taint);
+                            }
                         }
                     }
                     Inst::Gep {
-                        base,
-                        index,
+                        ref base,
+                        ref index,
                         elem_size,
                         dst,
                     } => {
-                        let mut b = self.eval_operand(frame, &base);
-                        let mut i = self.eval_operand(frame, &index);
+                        let mut b = self.eval_operand::<TRACED>(frame, base);
+                        let mut i = self.eval_operand::<TRACED>(frame, index);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut b, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 1, &mut i, frame);
                         let address = b
@@ -568,18 +640,18 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&b.taint, &i.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        let taint = Self::joint_taint::<TRACED>(&b, &i);
+                        Self::set_reg::<TRACED>(frame, dst, result, None, taint);
                     }
                     Inst::Select {
-                        cond,
-                        then_v,
-                        else_v,
+                        ref cond,
+                        ref then_v,
+                        ref else_v,
                         dst,
                     } => {
-                        let mut c = self.eval_operand(frame, &cond);
-                        let mut t = self.eval_operand(frame, &then_v);
-                        let mut e = self.eval_operand(frame, &else_v);
+                        let mut c = self.eval_operand::<TRACED>(frame, cond);
+                        let mut t = self.eval_operand::<TRACED>(frame, then_v);
+                        let mut e = self.eval_operand::<TRACED>(frame, else_v);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut c, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 1, &mut t, frame);
                         Self::maybe_inject_operand(fault, dyn_id, 2, &mut e, frame);
@@ -596,16 +668,20 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        let mut taint = TaintSet::union(&c.taint, &chosen.taint);
                         // The unchosen arm's dependences do not flow into the
                         // result value, but the condition's do.
-                        taint.union_with(&c.taint);
-                        let prov = chosen.element;
-                        Self::set_reg(frame, dst, result, prov, taint);
+                        let taint = Self::joint_taint::<TRACED>(&c, chosen);
+                        Self::set_reg::<TRACED>(frame, dst, result, chosen.element, taint);
                     }
-                    Inst::CallIntrinsic { intr, args, dst } => {
-                        let mut vals: Vec<OpVal> =
-                            args.iter().map(|a| self.eval_operand(frame, a)).collect();
+                    Inst::CallIntrinsic {
+                        intr,
+                        ref args,
+                        dst,
+                    } => {
+                        let mut vals: Vec<OpVal> = args
+                            .iter()
+                            .map(|a| self.eval_operand::<TRACED>(frame, a))
+                            .collect();
                         for (i, v) in vals.iter_mut().enumerate() {
                             Self::maybe_inject_operand(fault, dyn_id, i, v, frame);
                         }
@@ -628,13 +704,15 @@ impl<'m> Vm<'m> {
                             }
                         );
                         let mut taint = TaintSet::empty();
-                        for v in &vals {
-                            taint.union_with(&v.taint);
+                        if TRACED {
+                            for v in &vals {
+                                taint.union_with(&v.taint);
+                            }
                         }
-                        Self::set_reg(frame, dst, result, None, taint);
+                        Self::set_reg::<TRACED>(frame, dst, result, None, taint);
                     }
-                    Inst::Mov { src, dst } => {
-                        let mut s = self.eval_operand(frame, &src);
+                    Inst::Mov { ref src, dst } => {
+                        let mut s = self.eval_operand::<TRACED>(frame, src);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut s, frame);
                         let result = Self::maybe_inject_result(fault, dyn_id, s.value);
                         emit!(
@@ -646,21 +724,21 @@ impl<'m> Vm<'m> {
                                 result,
                             }
                         );
-                        Self::set_reg(frame, dst, result, s.element, s.taint);
+                        Self::set_reg::<TRACED>(frame, dst, result, s.element, s.taint);
                     }
                     Inst::Call {
                         func: callee,
-                        args,
+                        ref args,
                         dst,
                     } => {
-                        let mut vals: Vec<OpVal> =
-                            args.iter().map(|a| self.eval_operand(frame, a)).collect();
+                        let mut vals: Vec<OpVal> = args
+                            .iter()
+                            .map(|a| self.eval_operand::<TRACED>(frame, a))
+                            .collect();
                         for (i, v) in vals.iter_mut().enumerate() {
                             Self::maybe_inject_operand(fault, dyn_id, i, v, frame);
                         }
-                        let callee_fn = self.module.function(callee);
-                        let param_regs: Vec<RegId> =
-                            callee_fn.params.iter().map(|(r, _)| *r).collect();
+                        let params = &module.function(callee).params;
                         let callee_frame_id = next_frame_id;
                         next_frame_id += 1;
                         emit!(
@@ -671,12 +749,18 @@ impl<'m> Vm<'m> {
                                 callee,
                                 args: vals.iter().map(|v| v.traced()).collect(),
                                 callee_frame: callee_frame_id,
-                                param_regs: param_regs.clone(),
+                                param_regs: params.iter().map(|(r, _)| *r).collect(),
                             }
                         );
-                        let mut new_frame = self.new_frame(callee, callee_frame_id, dst);
-                        for (v, r) in vals.iter().zip(param_regs.iter()) {
-                            Self::set_reg(&mut new_frame, *r, v.value, v.element, v.taint.clone());
+                        let mut new_frame = self.new_frame::<TRACED>(callee, callee_frame_id, dst);
+                        for (v, (r, _)) in vals.into_iter().zip(params) {
+                            Self::set_reg::<TRACED>(
+                                &mut new_frame,
+                                *r,
+                                v.value,
+                                v.element,
+                                v.taint,
+                            );
                         }
                         frames.push(new_frame);
                     }
@@ -684,8 +768,7 @@ impl<'m> Vm<'m> {
                 dyn_id += 1;
             } else {
                 // Terminator.
-                let term = blk.term.clone();
-                match term {
+                match blk.term {
                     Terminator::Br { target } => {
                         // Unconditional branches carry no data and are not
                         // counted as operations.
@@ -694,12 +777,12 @@ impl<'m> Vm<'m> {
                         frame.inst = 0;
                     }
                     Terminator::CondBr {
-                        cond,
+                        ref cond,
                         then_b,
                         else_b,
                     } => {
                         let frame = &mut frames[frame_idx];
-                        let mut c = self.eval_operand(frame, &cond);
+                        let mut c = self.eval_operand::<TRACED>(frame, cond);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut c, frame);
                         let taken = c.value.is_truthy();
                         emit!(
@@ -716,12 +799,12 @@ impl<'m> Vm<'m> {
                         dyn_id += 1;
                     }
                     Terminator::Switch {
-                        value,
-                        cases,
+                        ref value,
+                        ref cases,
                         default,
                     } => {
                         let frame = &mut frames[frame_idx];
-                        let mut v = self.eval_operand(frame, &value);
+                        let mut v = self.eval_operand::<TRACED>(frame, value);
                         Self::maybe_inject_operand(fault, dyn_id, 0, &mut v, frame);
                         let key = v.value.as_i64();
                         let mut target = default;
@@ -746,10 +829,12 @@ impl<'m> Vm<'m> {
                         frame.inst = 0;
                         dyn_id += 1;
                     }
-                    Terminator::Ret { value } => {
+                    Terminator::Ret { ref value } => {
                         let frame = &mut frames[frame_idx];
-                        let ret_ty = self.module.function(frame.func).ret_ty;
-                        let mut v = value.map(|op| self.eval_operand(frame, &op));
+                        let ret_ty = module.function(frame.func).ret_ty;
+                        let mut v = value
+                            .as_ref()
+                            .map(|op| self.eval_operand::<TRACED>(frame, op));
                         if let Some(val) = v.as_mut() {
                             Self::maybe_inject_operand(fault, dyn_id, 0, val, frame);
                         }
@@ -759,30 +844,16 @@ impl<'m> Vm<'m> {
                             (None, None) => None,
                         };
                         let ret_dst = frame.ret_dst;
-                        let frame_id_done = frame.frame_id;
-                        let caller_frame_id = if frames.len() >= 2 {
-                            Some(frames[frames.len() - 2].frame_id)
-                        } else {
-                            None
-                        };
-                        {
-                            let frame = &frames[frame_idx];
-                            if let Some(t) = sink.as_deref_mut() {
-                                t.push(TraceRecord {
-                                    id: dyn_id,
-                                    frame: frame_id_done,
-                                    func: frame.func,
-                                    block: frame.block,
-                                    inst: TERMINATOR_INST,
-                                    dst: ret_dst,
-                                    op: TraceOp::Ret {
-                                        value: v.as_ref().map(|x| x.traced()),
-                                        caller_frame: caller_frame_id,
-                                        dst_in_caller: ret_dst,
-                                    },
-                                });
+                        emit!(
+                            frames[frame_idx],
+                            TERMINATOR_INST,
+                            ret_dst,
+                            TraceOp::Ret {
+                                value: v.as_ref().map(|x| x.traced()),
+                                caller_frame: frame_idx.checked_sub(1).map(|c| frames[c].frame_id),
+                                dst_in_caller: ret_dst,
                             }
-                        }
+                        );
                         dyn_id += 1;
                         let (prov, taint) = v
                             .map(|x| (x.element, x.taint))
@@ -791,7 +862,7 @@ impl<'m> Vm<'m> {
                         match frames.last_mut() {
                             Some(caller) => {
                                 if let (Some(dst), Some(val)) = (ret_dst, ret_val) {
-                                    Self::set_reg(caller, dst, val, prov, taint);
+                                    Self::set_reg::<TRACED>(caller, dst, val, prov, taint);
                                 }
                             }
                             None => {
@@ -968,9 +1039,8 @@ mod tests {
         assert!(!out.bits_identical(&golden));
     }
 
-    #[test]
-    fn corrupted_index_can_cause_memory_fault() {
-        // Load data[i] where i is corrupted to a huge value -> out of bounds.
+    /// Load data[idx[0]]: a corrupted index runs out of bounds.
+    fn idxfault_module() -> Module {
         let mut m = Module::new("idxfault");
         let data = m.add_global(Global::zeroed("data", Type::F64, 4));
         let idx = m.add_global(Global::from_i64("idx", &[1]));
@@ -980,7 +1050,13 @@ mod tests {
         f.ret(Some(Operand::Reg(v)));
         m.add_function(f.finish());
         assert_verified(&m);
+        m
+    }
 
+    #[test]
+    fn corrupted_index_can_cause_memory_fault() {
+        // Load data[i] where i is corrupted to a huge value -> out of bounds.
+        let m = idxfault_module();
         let (_, trace) = run_traced(&m).unwrap();
         let idx_load = trace
             .iter()
@@ -992,12 +1068,11 @@ mod tests {
         assert!(matches!(out.status, ExecStatus::MemFault(_)));
     }
 
-    #[test]
-    fn timeout_on_runaway_loop() {
+    /// `while (g[0] == 0) {}` -- never terminates since nothing writes g.
+    fn spin_module() -> Module {
         let mut m = Module::new("spin");
         let g = m.add_global(Global::zeroed("g", Type::I64, 1));
         let mut f = FunctionBuilder::new("main", &[], None);
-        // while (g[0] == 0) {}  -- never terminates since nothing writes g.
         f.loop_while(
             |f| {
                 let v = f.load_elem(Type::I64, g, Operand::const_i64(0));
@@ -1008,6 +1083,12 @@ mod tests {
         f.ret(None);
         m.add_function(f.finish());
         assert_verified(&m);
+        m
+    }
+
+    #[test]
+    fn timeout_on_runaway_loop() {
+        let m = spin_module();
         let vm = Vm::new(
             &m,
             VmConfig {
@@ -1020,8 +1101,8 @@ mod tests {
         assert_eq!(out.status, ExecStatus::Timeout);
     }
 
-    #[test]
-    fn function_calls_pass_arguments_and_return_values() {
+    /// `out[0] = square(3.0)`, returned as well.
+    fn call_module() -> Module {
         let mut m = Module::new("call");
         let out_g = m.add_global(Global::zeroed("out", Type::F64, 1));
         // double square(double x) { return x * x; }
@@ -1039,7 +1120,12 @@ mod tests {
         f.ret(Some(Operand::Reg(r)));
         m.add_function(f.finish());
         assert_verified(&m);
+        m
+    }
 
+    #[test]
+    fn function_calls_pass_arguments_and_return_values() {
+        let m = call_module();
         let out = run_golden(&m).unwrap();
         assert_eq!(out.return_f64(), 9.0);
         assert_eq!(out.global_f64("out"), vec![9.0]);
@@ -1070,14 +1156,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn division_by_zero_traps() {
+    /// `return 1 / 0`.
+    fn trap_module() -> Module {
         let mut m = Module::new("trap");
         m.add_global(Global::zeroed("pad", Type::I64, 1));
         let mut f = FunctionBuilder::new("main", &[], Some(Type::I64));
         let d = f.sdiv(Operand::const_i64(1), Operand::const_i64(0));
         f.ret(Some(Operand::Reg(d)));
         m.add_function(f.finish());
+        m
+    }
+
+    #[test]
+    fn division_by_zero_traps() {
+        let m = trap_module();
         let out = run_golden(&m).unwrap();
         assert!(matches!(out.status, ExecStatus::Trap(_)));
     }
@@ -1119,8 +1211,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn switch_terminator_dispatches() {
+    /// `switch (sel[0]) { 0 => out = 100, 2 => out = 200, _ => out = 300 }`.
+    fn switch_module() -> Module {
         let mut m = Module::new("switch");
         let out_g = m.add_global(Global::zeroed("out", Type::I64, 1));
         let sel = m.add_global(Global::from_i64("sel", &[2]));
@@ -1163,6 +1255,12 @@ mod tests {
         f.ret(None);
         m.add_function(f.finish());
         assert_verified(&m);
+        m
+    }
+
+    #[test]
+    fn switch_terminator_dispatches() {
+        let m = switch_module();
         let out = run_golden(&m).unwrap();
         assert_eq!(out.globals["out"][0].as_i64(), 200);
     }
@@ -1208,5 +1306,114 @@ mod tests {
             .map(|o| (o.name.clone(), o.base))
             .collect();
         assert_eq!(o1, o2);
+    }
+
+    /// `x = g[0]; r = x < 0 ? fabs(x) : sqrt(x); out[0] = r; return r`.
+    fn select_module() -> Module {
+        let mut m = Module::new("select");
+        let g = m.add_global(Global::from_f64("g", &[2.25]));
+        let out_g = m.add_global(Global::zeroed("out", Type::F64, 1));
+        let mut f = FunctionBuilder::new("main", &[], Some(Type::F64));
+        let x = f.load_elem(Type::F64, g, Operand::const_i64(0));
+        let neg = f.cmp(CmpPred::FOlt, Operand::Reg(x), Operand::const_f64(0.0));
+        let abs = f.fabs(Operand::Reg(x));
+        let root = f.sqrt(Operand::Reg(x));
+        let r = f.select(
+            Type::F64,
+            Operand::Reg(neg),
+            Operand::Reg(abs),
+            Operand::Reg(root),
+        );
+        f.store_elem(Type::F64, out_g, Operand::const_i64(0), Operand::Reg(r));
+        f.ret(Some(Operand::Reg(r)));
+        m.add_function(f.finish());
+        assert_verified(&m);
+        m
+    }
+
+    #[test]
+    fn untraced_loop_matches_traced_loop_under_every_fault() {
+        // `run::<false>` compiles provenance out of golden and injected
+        // runs; it must execute, fault, trap and time out exactly like
+        // `run::<true>`.  Every dynamic instruction of every module, every
+        // fault target that applies to it, five masks.
+        let default = VmConfig::default();
+        let small = VmConfig {
+            max_steps: 200,
+            ..VmConfig::default()
+        };
+        let corpus = [
+            (sum_module(), &default),
+            (call_module(), &default),
+            (switch_module(), &default),
+            (select_module(), &default),
+            (idxfault_module(), &default),
+            (trap_module(), &default),
+            (spin_module(), &small),
+        ];
+        let masks = [1, 1 << 31, 1 << 52, 1 << 63, 0b11];
+        let mut statuses = std::collections::BTreeSet::new();
+        let mut run_both = |m: &Module, config: &VmConfig, fault: Option<&FaultSpec>| {
+            let fast = Vm::new(m, config.clone())
+                .unwrap()
+                .run::<false>(fault, None);
+            let traced = Vm::new(m, config.clone()).unwrap().run::<true>(fault, None);
+            assert!(
+                fast.bits_identical(&traced) && fast.steps == traced.steps,
+                "{} {fault:?}: untraced {fast:?} vs traced {traced:?}",
+                m.name
+            );
+            statuses.insert(match fast.status {
+                ExecStatus::Completed => "completed",
+                ExecStatus::MemFault(_) => "mem-fault",
+                ExecStatus::Trap(_) => "trap",
+                ExecStatus::Timeout => "timeout",
+            });
+        };
+        let mut injected = 0;
+        for (m, config) in &corpus {
+            run_both(m, config, None);
+            let (golden, trace) = Vm::new(m, (*config).clone()).unwrap().execute_traced();
+            let mut sites: Vec<(u64, Vec<FaultTarget>)> = trace
+                .iter()
+                .map(|rec| {
+                    let mut targets: Vec<FaultTarget> = (0..rec.operands().len())
+                        .map(FaultTarget::Operand)
+                        .collect();
+                    if rec.result().is_some() {
+                        targets.push(FaultTarget::Result);
+                    }
+                    match rec.op {
+                        TraceOp::Load { .. } => targets.push(FaultTarget::LoadValue),
+                        TraceOp::Store { .. } => targets.push(FaultTarget::StoreDest),
+                        _ => {}
+                    }
+                    (rec.id, targets)
+                })
+                .collect();
+            if matches!(golden.status, ExecStatus::Trap(_) | ExecStatus::MemFault(_)) {
+                // The instruction that stopped the run left no record.
+                let targets = vec![
+                    FaultTarget::Operand(0),
+                    FaultTarget::Operand(1),
+                    FaultTarget::Result,
+                ];
+                sites.push((golden.steps, targets));
+            }
+            for (dyn_id, targets) in sites {
+                for target in targets {
+                    for mask in masks {
+                        run_both(m, config, Some(&FaultSpec::masked(dyn_id, target, mask)));
+                        injected += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            statuses.into_iter().collect::<Vec<_>>(),
+            ["completed", "mem-fault", "timeout", "trap"],
+            "the corpus must reach every termination status"
+        );
+        assert!(injected > 1_000, "{injected} injected runs");
     }
 }
