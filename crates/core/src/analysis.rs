@@ -18,13 +18,14 @@
 //! exactly as Equation 1 prescribes.
 
 use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
-use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
+use crate::error_pattern::{ErrorPattern, ErrorPatternSet, PatternLists};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 use crate::propagation::{BatchLane, PropagationResult, ReplayEngine, MAX_REPLAY_LANES};
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey};
 use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
 use moard_vm::{ObjectId, OutcomeClass, TraceRecord, TraceStorage};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Analyzer configuration.
@@ -190,6 +191,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let stats_before = self.cache.stats();
 
         let mut scheduler = LaneScheduler::new(self.trace, self.config.propagation_window, width);
+        let mut pattern_lists = PatternLists::new(&self.config.patterns);
         let plans: Vec<SitePlan> = sites
             .iter()
             .map(|site| {
@@ -197,7 +199,7 @@ impl<'a> AdvfAnalyzer<'a> {
                     .engine
                     .fetch(site.record_id)
                     .expect("site references a record in this trace");
-                let patterns = self.config.patterns.patterns_for(site.value.ty());
+                let patterns = Rc::clone(pattern_lists.get(site.value.ty()));
                 scheduler.plan(rec, site, patterns)
             })
             .collect();
@@ -303,7 +305,7 @@ impl<'a> AdvfAnalyzer<'a> {
         resolver: Option<&dyn DfiResolver>,
     ) -> (Masking, bool) {
         let mut scheduler = LaneScheduler::new(self.trace, self.config.propagation_window, 1);
-        let plan = scheduler.plan(rec.clone(), site, vec![pattern]);
+        let plan = scheduler.plan(rec.clone(), site, Rc::from([pattern]));
         let (lane_results, _) = scheduler.finish();
         self.fold_pattern(site, &plan, 0, &lane_results, resolver)
     }
@@ -356,10 +358,11 @@ enum LaneTag {
 }
 
 /// One site's scheduled work: its trace record, the enumerated error
-/// patterns, and one [`LaneTag`] per pattern.
+/// patterns (the list shared by every site of its element type), and one
+/// [`LaneTag`] per pattern.
 struct SitePlan {
     rec: TraceRecord,
-    patterns: Vec<ErrorPattern>,
+    patterns: Rc<[ErrorPattern]>,
     tags: Vec<LaneTag>,
 }
 
@@ -394,7 +397,7 @@ impl<'t> LaneScheduler<'t> {
         &mut self,
         rec: TraceRecord,
         site: &ParticipationSite,
-        patterns: Vec<ErrorPattern>,
+        patterns: Rc<[ErrorPattern]>,
     ) -> SitePlan {
         let tags = patterns
             .iter()

@@ -12,6 +12,7 @@
 //! draws uniformly over the same site × pattern population.
 
 use moard_ir::Type;
+use std::rc::Rc;
 
 /// A single error pattern: the set of bit positions flipped.
 ///
@@ -229,6 +230,39 @@ impl ErrorPatternSet {
             return Some(ErrorPatternSet::Explicit(patterns));
         }
         None
+    }
+}
+
+/// Each element type's pattern list of one [`ErrorPatternSet`], enumerated
+/// on first use and then shared: an analysis or campaign visits thousands
+/// of sites but only a handful of element types, and the list depends on
+/// the type alone.
+#[derive(Debug)]
+pub struct PatternLists<'a> {
+    set: &'a ErrorPatternSet,
+    lists: Vec<(Type, Rc<[ErrorPattern]>)>,
+}
+
+impl<'a> PatternLists<'a> {
+    /// No list enumerated yet.
+    pub fn new(set: &'a ErrorPatternSet) -> Self {
+        PatternLists {
+            set,
+            lists: Vec::new(),
+        }
+    }
+
+    /// The set's patterns for a value of type `ty`
+    /// ([`ErrorPatternSet::patterns_for`]), enumerated once per type.
+    pub fn get(&mut self, ty: Type) -> &Rc<[ErrorPattern]> {
+        let at = match self.lists.iter().position(|(t, _)| *t == ty) {
+            Some(at) => at,
+            None => {
+                self.lists.push((ty, self.set.patterns_for(ty).into()));
+                self.lists.len() - 1
+            }
+        };
+        &self.lists[at].1
     }
 }
 

@@ -78,7 +78,7 @@ pub use advf::{
 };
 pub use analysis::{AdvfAnalyzer, AnalysisConfig};
 pub use error::MoardError;
-pub use error_pattern::{ErrorPattern, ErrorPatternSet};
+pub use error_pattern::{ErrorPattern, ErrorPatternSet, PatternLists};
 pub use masking::{Masking, OpMaskKind};
 pub use op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 pub use propagation::{

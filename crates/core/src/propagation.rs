@@ -36,16 +36,35 @@
 //!   full trace resident;
 //! * the shadow tables are small linear vectors, not hash maps: live sets
 //!   are almost always a handful of locations, where linear probing beats
-//!   hashing by a wide margin;
+//!   hashing by a wide margin.  Keys, lane masks and per-lane values sit
+//!   in parallel vectors, so a probe scans only the keys;
 //! * an engine owns its state buffers and a warm reader and is reusable
 //!   across batches, so an analysis loop performs no per-walk allocation.
 //!
-//! Lanes retire individually — `AllMasked`, window exhaustion, control or
-//! address divergence, trace end — and every verdict is bit-identical to
-//! the scalar reference [`replay`], the one-fault-per-walk oracle over
-//! `ShadowState` that the parity tests pin the engine to: tainted lanes
-//! re-evaluate each operation with exactly the oracle's rules, value by
-//! value.
+//! The walk pays per record, not per active lane.  Three invariants keep
+//! it so:
+//!
+//! * **lanes retire in start order.**  Lanes are sorted by start (checked
+//!   on entry), so the lanes whose window is exhausted are always a prefix
+//!   of the activated ones: one cursor advances past them, and each
+//!   record's exhausted lanes retire as one mask, in one sweep that counts
+//!   their live locations and erases their bits;
+//! * **one shadow lookup per operand per record.**  Each operand's entry,
+//!   and the destination's (found or inserted), is located once; tainted
+//!   lanes then read and write value slots by position.  No entry is
+//!   removed inside the lane loop, and lanes whose re-evaluation traps
+//!   retire after it, so the positions stay valid;
+//! * **the masked-out scan is gated on dropped bits.**  A lane can only
+//!   mask out by losing bits — a kill, a memory remove, a returning
+//!   frame, a clean write — so the union of live bits is computed only
+//!   after a step dropped some, and only those lanes are candidates.
+//!
+//! Lanes retire individually in effect — `AllMasked`, window exhaustion,
+//! control or address divergence, trace end — and every verdict is
+//! bit-identical to the scalar reference [`replay`], the one-fault-per-walk
+//! oracle over `ShadowState` that the parity tests pin the engine to:
+//! tainted lanes re-evaluate each operation with exactly the oracle's
+//! rules, value by value.
 
 use crate::op_rules::CorruptLoc;
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, RegId, Value};
@@ -302,208 +321,277 @@ fn iter_lanes(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One shadow entry shared by up to 64 lanes: which lanes hold a corrupted
-/// value here (`mask`) and the per-lane values.
-#[derive(Clone)]
-struct LaneEntry {
-    mask: u64,
-    vals: [Value; MAX_REPLAY_LANES],
+/// Per-lane corrupted values of one shadow entry.
+type LaneVals = [Value; MAX_REPLAY_LANES];
+
+/// One lane-masked shadow table (registers or memory words): entries are
+/// unique by key, and each holds a `u64` of lane occupancy plus the
+/// per-lane corrupted values.  The three parts live in parallel vectors so
+/// a key scan touches only the keys.  Removal is `swap_remove`: order is
+/// irrelevant to every observable result.
+struct LaneTable<K> {
+    keys: Vec<K>,
+    masks: Vec<u64>,
+    vals: Vec<LaneVals>,
 }
 
-impl LaneEntry {
-    fn seeded(lane: usize, value: Value) -> Self {
-        let mut e = LaneEntry {
-            mask: 1u64 << lane,
-            vals: [NO_VALUE; MAX_REPLAY_LANES],
-        };
-        e.vals[lane] = value;
-        e
+impl<K> Default for LaneTable<K> {
+    fn default() -> Self {
+        LaneTable {
+            keys: Vec::new(),
+            masks: Vec::new(),
+            vals: Vec::new(),
+        }
     }
 }
 
-/// Lane-masked shadow state: the batched counterpart of [`ShadowState`].
-/// Same small linear tables, but each entry carries a `u64` of lane
-/// occupancy plus the per-lane corrupted values, so one scan of the tables
-/// serves every lane in the batch.
+impl<K: Copy + PartialEq> LaneTable<K> {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.masks.clear();
+        self.vals.clear();
+    }
+
+    fn find(&self, key: K) -> Option<usize> {
+        self.keys.iter().position(|k| *k == key)
+    }
+
+    /// Position of `key`'s entry, inserted empty if absent.
+    fn at(&mut self, key: K) -> usize {
+        self.find(key).unwrap_or_else(|| {
+            self.keys.push(key);
+            self.masks.push(0);
+            self.vals.push([NO_VALUE; MAX_REPLAY_LANES]);
+            self.keys.len() - 1
+        })
+    }
+
+    /// The `active` lanes holding `key` corrupted, and where.
+    fn lookup(&self, key: K, active: u64) -> Lookup {
+        self.find(key).map_or(Lookup::CLEAN, |at| Lookup {
+            at,
+            mask: self.masks[at] & active,
+        })
+    }
+
+    fn set(&mut self, at: usize, lane: usize, value: Value) {
+        self.masks[at] |= 1u64 << lane;
+        self.vals[at][lane] = value;
+    }
+
+    /// Clear the bits of `lanes` at `at`, adding the ones that were set to
+    /// `dropped`.
+    fn drop_lanes(&mut self, at: usize, lanes: u64, dropped: &mut u64) {
+        *dropped |= self.masks[at] & lanes;
+        self.masks[at] &= !lanes;
+    }
+
+    /// One lane's re-evaluated value: a value bit-equal to the clean one is
+    /// no corruption at all, so the lane's bit drops instead.
+    fn write(&mut self, at: usize, lane: usize, corrupted: Value, clean: Value, dropped: &mut u64) {
+        if corrupted.bits_eq(&clean) {
+            self.drop_lanes(at, 1u64 << lane, dropped);
+        } else {
+            self.set(at, lane, corrupted);
+        }
+    }
+
+    /// Remove the entry at `at` if no lane holds it any more.
+    fn settle(&mut self, at: usize) {
+        if self.masks[at] == 0 {
+            self.swap_remove(at);
+        }
+    }
+
+    fn swap_remove(&mut self, at: usize) {
+        self.keys.swap_remove(at);
+        self.masks.swap_remove(at);
+        self.vals.swap_remove(at);
+    }
+
+    /// A clean value overwrites `key` on `lanes`.
+    fn kill(&mut self, key: K, lanes: u64, dropped: &mut u64) {
+        if lanes == 0 {
+            return;
+        }
+        if let Some(at) = self.find(key) {
+            self.drop_lanes(at, lanes, dropped);
+            self.settle(at);
+        }
+    }
+
+    /// Keep the entries for which `keep(key, mask)` holds; it may also
+    /// narrow the mask, and an entry left with no lane goes too.
+    fn retain(&mut self, mut keep: impl FnMut(K, &mut u64) -> bool) {
+        let mut at = 0;
+        while at < self.keys.len() {
+            if keep(self.keys[at], &mut self.masks[at]) && self.masks[at] != 0 {
+                at += 1;
+            } else {
+                self.swap_remove(at);
+            }
+        }
+    }
+
+    /// Union of the lane bits of every entry.
+    fn union_mask(&self) -> u64 {
+        self.masks.iter().fold(0, |m, e| m | e)
+    }
+}
+
+/// One operand's shadow lookup for the current record: the position of its
+/// entry and the active lanes it taints (`mask == 0` means clean, and `at`
+/// is then meaningless).  Positions stay valid until the record's first
+/// entry removal, which every step defers until its lane loop is done.
+#[derive(Clone, Copy)]
+struct Lookup {
+    at: usize,
+    mask: u64,
+}
+
+impl Lookup {
+    const CLEAN: Lookup = Lookup { at: 0, mask: 0 };
+
+    /// This lane's value of a register operand: the corrupted one if the
+    /// lane taints it, else the recorded `clean` value.
+    fn reg_or(&self, state: &BatchShadowState, lane: usize, clean: Value) -> Value {
+        if self.mask >> lane & 1 != 0 {
+            state.regs.vals[self.at][lane]
+        } else {
+            clean
+        }
+    }
+}
+
+/// Lane-masked shadow state: the batched counterpart of [`ShadowState`],
+/// with one lane-masked table keyed by (frame, register) and one by memory
+/// address, so one scan of the tables serves every lane in the batch.
+/// Entries with an empty mask never outlive the step that emptied them.
 #[derive(Default)]
 struct BatchShadowState {
-    regs: Vec<((u64, u32), LaneEntry)>,
-    mem: Vec<(u64, LaneEntry)>,
+    regs: LaneTable<(u64, u32)>,
+    mem: LaneTable<u64>,
+    /// Lanes that lost a bit since the walk last reset this: only they can
+    /// have masked out.
+    dropped: u64,
 }
 
 impl BatchShadowState {
     fn clear(&mut self) {
         self.regs.clear();
         self.mem.clear();
+        self.dropped = 0;
     }
 
     fn seed_lane(&mut self, lane: usize, locs: &[CorruptLoc]) {
         for loc in locs {
             match loc {
                 CorruptLoc::Reg { frame, reg, value } => {
-                    self.reg_insert_lane(*frame, *reg, lane, *value);
+                    let at = self.regs.at((*frame, reg.0));
+                    self.regs.set(at, lane, *value);
                 }
                 CorruptLoc::Mem { addr, value } => {
-                    self.mem_insert_lane(*addr, lane, *value);
+                    let at = self.mem.at(*addr);
+                    self.mem.set(at, lane, *value);
                 }
             }
         }
     }
 
-    fn reg_mask(&self, frame: u64, reg: RegId) -> u64 {
-        let key = (frame, reg.0);
-        self.regs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, e)| e.mask)
+    fn reg(&self, frame: u64, reg: RegId, active: u64) -> Lookup {
+        self.regs.lookup((frame, reg.0), active)
     }
 
-    fn reg_lane(&self, frame: u64, reg: RegId, lane: usize) -> Value {
-        let key = (frame, reg.0);
-        let entry = &self
-            .regs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("reg_lane: entry present")
-            .1;
-        debug_assert!(entry.mask >> lane & 1 != 0);
-        entry.vals[lane]
-    }
-
-    /// Lanes whose value of this operand is corrupted.
-    fn operand_mask(&self, frame: u64, v: &TracedVal) -> u64 {
+    /// The active lanes whose value of this operand is corrupted.
+    fn operand(&self, frame: u64, v: &TracedVal, active: u64) -> Lookup {
         match v.source {
-            ValueSource::Reg(r) => self.reg_mask(frame, r),
-            _ => 0,
+            ValueSource::Reg(r) => self.reg(frame, r, active),
+            _ => Lookup::CLEAN,
         }
     }
 
-    /// This lane's corrupted value of the operand (its bit must be set in
-    /// [`BatchShadowState::operand_mask`]).
-    fn operand_lane(&self, frame: u64, v: &TracedVal, lane: usize) -> Value {
-        match v.source {
-            ValueSource::Reg(r) => self.reg_lane(frame, r, lane),
-            _ => unreachable!("operand_lane on a non-register source"),
-        }
-    }
-
-    fn reg_insert_lane(&mut self, frame: u64, reg: RegId, lane: usize, value: Value) {
-        let key = (frame, reg.0);
-        match self.regs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, e)) => {
-                e.mask |= 1u64 << lane;
-                e.vals[lane] = value;
-            }
-            None => self.regs.push((key, LaneEntry::seeded(lane, value))),
-        }
-    }
-
-    fn kill_reg_lanes(&mut self, frame: u64, reg: RegId, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        let key = (frame, reg.0);
-        if let Some(i) = self.regs.iter().position(|(k, _)| *k == key) {
-            let e = &mut self.regs[i].1;
-            e.mask &= !lanes;
-            if e.mask == 0 {
-                self.regs.swap_remove(i);
-            }
-        }
-    }
-
-    fn set_reg_lane(
+    /// Write one register for one record: the `kill` lanes drop their bit
+    /// (a clean value overwrites it), and each `tainted` lane stores
+    /// `eval(self, lane)` unless that equals the `clean` value.  Every read
+    /// `eval` makes goes through lookups taken before the write, by
+    /// position; the register's entry is found (or inserted) once.  Lanes
+    /// whose re-evaluation traps (`eval` returns `None`) are left untouched
+    /// and returned, so the caller retires them after the lane loop.
+    fn write_reg(
         &mut self,
         frame: u64,
         reg: RegId,
-        lane: usize,
-        corrupted: Value,
+        kill: u64,
+        tainted: u64,
         clean: Value,
-    ) {
-        if corrupted.bits_eq(&clean) {
-            self.kill_reg_lanes(frame, reg, 1u64 << lane);
-        } else {
-            self.reg_insert_lane(frame, reg, lane, corrupted);
+        mut eval: impl FnMut(&Self, usize) -> Option<Value>,
+    ) -> u64 {
+        let key = (frame, reg.0);
+        if tainted == 0 {
+            self.regs.kill(key, kill, &mut self.dropped);
+            return 0;
         }
+        let at = self.regs.at(key);
+        self.regs.drop_lanes(at, kill, &mut self.dropped);
+        let mut trapped = 0u64;
+        for lane in iter_lanes(tainted) {
+            match eval(self, lane) {
+                Some(v) => self.regs.write(at, lane, v, clean, &mut self.dropped),
+                None => trapped |= 1u64 << lane,
+            }
+        }
+        self.regs.settle(at);
+        trapped
+    }
+
+    /// A store of `value` (looked up as `v`) to `addr` on every active
+    /// lane: untainted lanes' clean value overwrites any corrupted word.
+    fn store(&mut self, addr: u64, active: u64, v: Lookup, clean: Value) {
+        if v.mask == 0 {
+            self.mem.kill(addr, active, &mut self.dropped);
+            return;
+        }
+        let at = self.mem.at(addr);
+        self.mem.drop_lanes(at, active & !v.mask, &mut self.dropped);
+        for lane in iter_lanes(v.mask) {
+            let corrupted = self.regs.vals[v.at][lane];
+            self.mem
+                .write(at, lane, corrupted, clean, &mut self.dropped);
+        }
+        self.mem.settle(at);
     }
 
     /// Drop every register of a returning frame, for all lanes at once.
     fn drop_frame(&mut self, frame: u64) {
-        self.regs.retain(|((f, _), _)| *f != frame);
-    }
-
-    fn mem_mask(&self, addr: u64) -> u64 {
-        self.mem
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .map_or(0, |(_, e)| e.mask)
-    }
-
-    fn mem_lane(&self, addr: u64, lane: usize) -> Value {
-        let entry = &self
-            .mem
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .expect("mem_lane: entry present")
-            .1;
-        debug_assert!(entry.mask >> lane & 1 != 0);
-        entry.vals[lane]
-    }
-
-    fn mem_insert_lane(&mut self, addr: u64, lane: usize, value: Value) {
-        match self.mem.iter_mut().find(|(a, _)| *a == addr) {
-            Some((_, e)) => {
-                e.mask |= 1u64 << lane;
-                e.vals[lane] = value;
+        let dropped = &mut self.dropped;
+        self.regs.retain(|(f, _), mask| {
+            if f == frame {
+                *dropped |= *mask;
             }
-            None => self.mem.push((addr, LaneEntry::seeded(lane, value))),
-        }
-    }
-
-    fn mem_remove_lanes(&mut self, addr: u64, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        if let Some(i) = self.mem.iter().position(|(a, _)| *a == addr) {
-            let e = &mut self.mem[i].1;
-            e.mask &= !lanes;
-            if e.mask == 0 {
-                self.mem.swap_remove(i);
-            }
-        }
+            f != frame
+        });
     }
 
     /// Union of live lane bits across all register and memory entries; a
     /// lane absent here has fully masked out.
     fn union_mask(&self) -> u64 {
-        let regs = self.regs.iter().fold(0u64, |m, (_, e)| m | e.mask);
-        self.mem.iter().fold(regs, |m, (_, e)| m | e.mask)
+        self.regs.union_mask() | self.mem.union_mask()
     }
 
-    /// Union of live lane bits across memory entries only (the trace-end
-    /// verdict ignores registers of finished frames).
-    fn mem_union_mask(&self) -> u64 {
-        self.mem.iter().fold(0u64, |m, (_, e)| m | e.mask)
-    }
-
-    /// Number of live corrupted locations for one lane.
-    fn live_count(&self, lane: usize) -> usize {
-        let bit = 1u64 << lane;
-        self.regs.iter().filter(|(_, e)| e.mask & bit != 0).count()
-            + self.mem.iter().filter(|(_, e)| e.mask & bit != 0).count()
-    }
-
-    /// Erase one lane's bits everywhere (called when the lane retires).
-    fn clear_lane(&mut self, lane: usize) {
-        let keep = !(1u64 << lane);
-        self.regs.retain_mut(|(_, e)| {
-            e.mask &= keep;
-            e.mask != 0
-        });
-        self.mem.retain_mut(|(_, e)| {
-            e.mask &= keep;
-            e.mask != 0
-        });
+    /// Erase the bits of `lanes` everywhere in one sweep, returning each
+    /// lane's number of live locations just before.
+    fn erase_lanes(&mut self, lanes: u64) -> [u32; MAX_REPLAY_LANES] {
+        let mut live = [0u32; MAX_REPLAY_LANES];
+        let mut sweep = |mask: &mut u64| {
+            for lane in iter_lanes(*mask & lanes) {
+                live[lane] += 1;
+            }
+            *mask &= !lanes;
+            true
+        };
+        self.regs.retain(|_, mask| sweep(mask));
+        self.mem.retain(|_, mask| sweep(mask));
+        live
     }
 }
 
@@ -761,30 +849,39 @@ fn step(rec: &TraceRecord, state: &mut ShadowState) -> StepResult {
 /// In-flight state of one batched walk: the lane-masked shadow tables, the
 /// per-lane results, and the set of lanes still advancing.
 ///
-/// The step logic mirrors [`step`] arm for arm.  For every record the lanes
-/// split into two classes by the operand masks: untainted lanes share one
-/// bulk kill/remove on the destination, tainted lanes re-evaluate the
-/// operation per lane with exactly the oracle's rules.  Per-lane writes
-/// touch only that lane's mask bit and value slot, and the operand masks are
-/// snapshotted before any write, so lanes cannot observe each other — which
-/// is what makes every verdict bit-identical to the scalar [`replay`].
+/// The step logic mirrors [`step`] arm for arm.  For every record each
+/// operand's shadow entry is looked up once, and its mask splits the lanes
+/// into two classes: untainted lanes share one bulk kill/remove on the
+/// destination, tainted lanes re-evaluate the operation per lane with
+/// exactly the oracle's rules, reading and writing value slots by entry
+/// position.  Per-lane writes touch only that lane's mask bit and value
+/// slot, the operand masks are snapshotted before any write, and lanes that
+/// trap retire only after the lane loop, so lanes cannot observe each other
+/// — which is what makes every verdict bit-identical to the scalar
+/// [`replay`].
 struct BatchWalk<'a> {
     state: &'a mut BatchShadowState,
     results: &'a mut [Option<PropagationResult>],
     active: u64,
-    scratch_masks: Vec<u64>,
+    scratch_args: Vec<Lookup>,
     scratch_vals: Vec<Value>,
 }
 
 impl BatchWalk<'_> {
-    fn retire_unresolved(&mut self, lane: usize, reason: UnresolvedReason) {
-        let live = self.state.live_count(lane);
-        self.results[lane] = Some(PropagationResult::Unresolved {
-            reason,
-            live_locations: live,
-        });
-        self.active &= !(1u64 << lane);
-        self.state.clear_lane(lane);
+    /// Retire a group of active lanes unresolved: one sweep over the tables
+    /// counts each lane's live locations and erases its bits.
+    fn retire_unresolved(&mut self, lanes: u64, reason: UnresolvedReason) {
+        if lanes == 0 {
+            return;
+        }
+        let live = self.state.erase_lanes(lanes);
+        for lane in iter_lanes(lanes) {
+            self.results[lane] = Some(PropagationResult::Unresolved {
+                reason,
+                live_locations: live[lane] as usize,
+            });
+        }
+        self.active &= !lanes;
     }
 
     /// Retire a lane whose corruption fully masked out.  Its bits are
@@ -794,8 +891,32 @@ impl BatchWalk<'_> {
         self.active &= !(1u64 << lane);
     }
 
+    /// Write the record's destination on every active lane (see
+    /// [`BatchShadowState::write_reg`]) and retire the lanes that trapped.
+    fn write_dst(
+        &mut self,
+        frame: u64,
+        dst: RegId,
+        tainted: u64,
+        clean: Value,
+        eval: impl FnMut(&BatchShadowState, usize) -> Option<Value>,
+    ) {
+        let kill = self.active & !tainted;
+        let trapped = self.state.write_reg(frame, dst, kill, tainted, clean, eval);
+        self.retire_unresolved(trapped, UnresolvedReason::EvalTrap);
+    }
+
+    /// Retire the active lanes that corrupt a load or store address.
+    fn retire_address(&mut self, frame: u64, addr_src: &ValueSource) {
+        if let ValueSource::Reg(r) = addr_src {
+            let m = self.state.reg(frame, *r, self.active).mask;
+            self.retire_unresolved(m, UnresolvedReason::AddressDivergence);
+        }
+    }
+
     fn step(&mut self, rec: &TraceRecord) {
         let frame = rec.frame;
+        let active = self.active;
         match &rec.op {
             TraceOp::Bin {
                 op,
@@ -804,27 +925,13 @@ impl BatchWalk<'_> {
                 rhs,
                 result,
             } => {
-                let ml = self.state.operand_mask(frame, lhs) & self.active;
-                let mr = self.state.operand_mask(frame, rhs) & self.active;
+                let l = self.state.operand(frame, lhs, active);
+                let r = self.state.operand(frame, rhs, active);
                 let dst = rec.dst.expect("bin has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(ml | mr));
-                for lane in iter_lanes(ml | mr) {
-                    let a = if ml >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, lhs, lane)
-                    } else {
-                        lhs.value
-                    };
-                    let b = if mr >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, rhs, lane)
-                    } else {
-                        rhs.value
-                    };
-                    match eval_binop(*op, *ty, &a, &b) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                self.write_dst(frame, dst, l.mask | r.mask, *result, |s, lane| {
+                    let (a, b) = (l.reg_or(s, lane, lhs.value), r.reg_or(s, lane, rhs.value));
+                    eval_binop(*op, *ty, &a, &b).ok()
+                });
             }
             TraceOp::Cmp {
                 pred,
@@ -832,27 +939,13 @@ impl BatchWalk<'_> {
                 rhs,
                 result,
             } => {
-                let ml = self.state.operand_mask(frame, lhs) & self.active;
-                let mr = self.state.operand_mask(frame, rhs) & self.active;
+                let l = self.state.operand(frame, lhs, active);
+                let r = self.state.operand(frame, rhs, active);
                 let dst = rec.dst.expect("cmp has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(ml | mr));
-                for lane in iter_lanes(ml | mr) {
-                    let a = if ml >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, lhs, lane)
-                    } else {
-                        lhs.value
-                    };
-                    let b = if mr >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, rhs, lane)
-                    } else {
-                        rhs.value
-                    };
-                    match eval_cmp(*pred, &a, &b) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                self.write_dst(frame, dst, l.mask | r.mask, *result, |s, lane| {
+                    let (a, b) = (l.reg_or(s, lane, lhs.value), r.reg_or(s, lane, rhs.value));
+                    eval_cmp(*pred, &a, &b).ok()
+                });
             }
             TraceOp::Cast {
                 kind,
@@ -860,16 +953,11 @@ impl BatchWalk<'_> {
                 src,
                 result,
             } => {
-                let ms = self.state.operand_mask(frame, src) & self.active;
+                let c = self.state.operand(frame, src, active);
                 let dst = rec.dst.expect("cast has dst");
-                self.state.kill_reg_lanes(frame, dst, self.active & !ms);
-                for lane in iter_lanes(ms) {
-                    let v = self.state.operand_lane(frame, src, lane);
-                    match eval_cast(*kind, *to, &v) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                self.write_dst(frame, dst, c.mask, *result, |s, lane| {
+                    eval_cast(*kind, *to, &c.reg_or(s, lane, src.value)).ok()
+                });
             }
             TraceOp::Load {
                 addr,
@@ -877,18 +965,12 @@ impl BatchWalk<'_> {
                 result,
                 ..
             } => {
-                if let ValueSource::Reg(r) = addr_src {
-                    for lane in iter_lanes(self.state.reg_mask(frame, *r) & self.active) {
-                        self.retire_unresolved(lane, UnresolvedReason::AddressDivergence);
-                    }
-                }
+                self.retire_address(frame, addr_src);
+                let m = self.state.mem.lookup(*addr, self.active);
                 let dst = rec.dst.expect("load has dst");
-                let mm = self.state.mem_mask(*addr) & self.active;
-                self.state.kill_reg_lanes(frame, dst, self.active & !mm);
-                for lane in iter_lanes(mm) {
-                    let v = self.state.mem_lane(*addr, lane);
-                    self.state.set_reg_lane(frame, dst, lane, v, *result);
-                }
+                self.write_dst(frame, dst, m.mask, *result, |s, lane| {
+                    Some(s.mem.vals[m.at][lane])
+                });
             }
             TraceOp::Store {
                 addr,
@@ -896,22 +978,9 @@ impl BatchWalk<'_> {
                 value,
                 ..
             } => {
-                if let ValueSource::Reg(r) = addr_src {
-                    for lane in iter_lanes(self.state.reg_mask(frame, *r) & self.active) {
-                        self.retire_unresolved(lane, UnresolvedReason::AddressDivergence);
-                    }
-                }
-                let mv = self.state.operand_mask(frame, value) & self.active;
-                // Clean value overwrites any corrupted memory.
-                self.state.mem_remove_lanes(*addr, self.active & !mv);
-                for lane in iter_lanes(mv) {
-                    let corrupted = self.state.operand_lane(frame, value, lane);
-                    if corrupted.bits_eq(&value.value) {
-                        self.state.mem_remove_lanes(*addr, 1u64 << lane);
-                    } else {
-                        self.state.mem_insert_lane(*addr, lane, corrupted);
-                    }
-                }
+                self.retire_address(frame, addr_src);
+                let v = self.state.operand(frame, value, self.active);
+                self.state.store(*addr, self.active, v, value.value);
             }
             TraceOp::Gep {
                 base,
@@ -919,28 +988,19 @@ impl BatchWalk<'_> {
                 elem_size,
                 result,
             } => {
-                let mb = self.state.operand_mask(frame, base) & self.active;
-                let mi = self.state.operand_mask(frame, index) & self.active;
+                let b = self.state.operand(frame, base, active);
+                let i = self.state.operand(frame, index, active);
                 let dst = rec.dst.expect("gep has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(mb | mi));
-                for lane in iter_lanes(mb | mi) {
-                    let b = if mb >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, base, lane)
-                    } else {
-                        base.value
-                    };
-                    let i = if mi >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, index, lane)
-                    } else {
-                        index.value
-                    };
+                self.write_dst(frame, dst, b.mask | i.mask, *result, |s, lane| {
+                    let (b, i) = (
+                        b.reg_or(s, lane, base.value),
+                        i.reg_or(s, lane, index.value),
+                    );
                     let a = b
                         .as_u64()
                         .wrapping_add((i.as_i64() as u64).wrapping_mul(*elem_size));
-                    self.state
-                        .set_reg_lane(frame, dst, lane, Value::Ptr(a), *result);
-                }
+                    Some(Value::Ptr(a))
+                });
             }
             TraceOp::Select {
                 cond,
@@ -948,66 +1008,48 @@ impl BatchWalk<'_> {
                 else_v,
                 result,
             } => {
-                let mc = self.state.operand_mask(frame, cond) & self.active;
-                let mt = self.state.operand_mask(frame, then_v) & self.active;
-                let me = self.state.operand_mask(frame, else_v) & self.active;
+                let c = self.state.operand(frame, cond, active);
+                let t = self.state.operand(frame, then_v, active);
+                let e = self.state.operand(frame, else_v, active);
                 let dst = rec.dst.expect("select has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(mc | mt | me));
-                for lane in iter_lanes(mc | mt | me) {
-                    let c = if mc >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, cond, lane)
+                self.write_dst(frame, dst, c.mask | t.mask | e.mask, *result, |s, lane| {
+                    Some(if c.reg_or(s, lane, cond.value).is_truthy() {
+                        t.reg_or(s, lane, then_v.value)
                     } else {
-                        cond.value
-                    };
-                    let t = if mt >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, then_v, lane)
-                    } else {
-                        then_v.value
-                    };
-                    let e = if me >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, else_v, lane)
-                    } else {
-                        else_v.value
-                    };
-                    let r = if c.is_truthy() { t } else { e };
-                    self.state.set_reg_lane(frame, dst, lane, r, *result);
-                }
+                        e.reg_or(s, lane, else_v.value)
+                    })
+                });
             }
             TraceOp::Intrinsic { intr, args, result } => {
                 let dst = rec.dst.expect("intrinsic has dst");
-                self.scratch_masks.clear();
+                self.scratch_args.clear();
                 let mut tainted = 0u64;
                 for a in args {
-                    let m = self.state.operand_mask(frame, a) & self.active;
-                    self.scratch_masks.push(m);
-                    tainted |= m;
+                    let l = self.state.operand(frame, a, active);
+                    self.scratch_args.push(l);
+                    tainted |= l.mask;
                 }
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !tainted);
-                for lane in iter_lanes(tainted) {
-                    self.scratch_vals.clear();
-                    for (a, m) in args.iter().zip(&self.scratch_masks) {
-                        self.scratch_vals.push(if m >> lane & 1 != 0 {
-                            self.state.operand_lane(frame, a, lane)
-                        } else {
-                            a.value
+                let (lookups, vals) = (&self.scratch_args, &mut self.scratch_vals);
+                let kill = active & !tainted;
+                let trapped =
+                    self.state
+                        .write_reg(frame, dst, kill, tainted, *result, |s, lane| {
+                            vals.clear();
+                            vals.extend(
+                                args.iter()
+                                    .zip(lookups)
+                                    .map(|(a, l)| l.reg_or(s, lane, a.value)),
+                            );
+                            eval_intrinsic(*intr, vals).ok()
                         });
-                    }
-                    match eval_intrinsic(*intr, &self.scratch_vals) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                self.retire_unresolved(trapped, UnresolvedReason::EvalTrap);
             }
             TraceOp::Mov { src, result } => {
-                let ms = self.state.operand_mask(frame, src) & self.active;
+                let m = self.state.operand(frame, src, active);
                 let dst = rec.dst.expect("mov has dst");
-                self.state.kill_reg_lanes(frame, dst, self.active & !ms);
-                for lane in iter_lanes(ms) {
-                    let v = self.state.operand_lane(frame, src, lane);
-                    self.state.set_reg_lane(frame, dst, lane, v, *result);
-                }
+                self.write_dst(frame, dst, m.mask, *result, |s, lane| {
+                    Some(m.reg_or(s, lane, src.value))
+                });
             }
             TraceOp::Call {
                 args,
@@ -1016,11 +1058,11 @@ impl BatchWalk<'_> {
                 ..
             } => {
                 for (arg, param) in args.iter().zip(param_regs.iter()) {
-                    for lane in iter_lanes(self.state.operand_mask(frame, arg) & self.active) {
-                        let v = self.state.operand_lane(frame, arg, lane);
-                        self.state
-                            .set_reg_lane(*callee_frame, *param, lane, v, arg.value);
-                    }
+                    let a = self.state.operand(frame, arg, active);
+                    self.state
+                        .write_reg(*callee_frame, *param, 0, a.mask, arg.value, |s, lane| {
+                            Some(a.reg_or(s, lane, arg.value))
+                        });
                 }
             }
             TraceOp::Ret {
@@ -1028,52 +1070,42 @@ impl BatchWalk<'_> {
                 caller_frame,
                 dst_in_caller,
             } => {
-                let rm = match value {
-                    Some(v) => self.state.operand_mask(frame, v) & self.active,
-                    None => 0,
+                let rv = match value {
+                    Some(v) => self.state.operand(frame, v, active),
+                    None => Lookup::CLEAN,
                 };
                 // Capture per-lane return values before the frame's
                 // registers die.
                 let mut ret_vals = [NO_VALUE; MAX_REPLAY_LANES];
-                if let Some(v) = value {
-                    for lane in iter_lanes(rm) {
-                        ret_vals[lane] = self.state.operand_lane(frame, v, lane);
-                    }
+                for lane in iter_lanes(rv.mask) {
+                    ret_vals[lane] = self.state.regs.vals[rv.at][lane];
                 }
                 self.state.drop_frame(frame);
                 if let (Some(cf), Some(dst)) = (caller_frame, dst_in_caller) {
-                    self.state.kill_reg_lanes(*cf, *dst, self.active & !rm);
-                    if let Some(clean) = value {
-                        for lane in iter_lanes(rm) {
-                            self.state
-                                .set_reg_lane(*cf, *dst, lane, ret_vals[lane], clean.value);
-                        }
-                    }
+                    let clean = value.map_or(NO_VALUE, |v| v.value);
+                    self.write_dst(*cf, *dst, rv.mask, clean, |_, lane| Some(ret_vals[lane]));
                 } else if let Some(clean) = value {
                     // Corrupted final program return value: the outcome
                     // differs.
-                    for lane in iter_lanes(rm) {
-                        if !ret_vals[lane].bits_eq(&clean.value) {
-                            self.retire_unresolved(lane, UnresolvedReason::TraceEnded);
-                        }
-                    }
+                    let differs = iter_lanes(rv.mask)
+                        .filter(|&lane| !ret_vals[lane].bits_eq(&clean.value))
+                        .fold(0u64, |m, lane| m | 1u64 << lane);
+                    self.retire_unresolved(differs, UnresolvedReason::TraceEnded);
                 }
             }
             TraceOp::CondBr { cond, taken } => {
-                for lane in iter_lanes(self.state.operand_mask(frame, cond) & self.active) {
-                    let v = self.state.operand_lane(frame, cond, lane);
-                    if v.is_truthy() != *taken {
-                        self.retire_unresolved(lane, UnresolvedReason::ControlDivergence);
-                    }
-                }
+                let c = self.state.operand(frame, cond, active);
+                let diverged = iter_lanes(c.mask)
+                    .filter(|&lane| self.state.regs.vals[c.at][lane].is_truthy() != *taken)
+                    .fold(0u64, |m, lane| m | 1u64 << lane);
+                self.retire_unresolved(diverged, UnresolvedReason::ControlDivergence);
             }
             TraceOp::Switch { value, .. } => {
-                for lane in iter_lanes(self.state.operand_mask(frame, value) & self.active) {
-                    let v = self.state.operand_lane(frame, value, lane);
-                    if !v.bits_eq(&value.value) {
-                        self.retire_unresolved(lane, UnresolvedReason::ControlDivergence);
-                    }
-                }
+                let v = self.state.operand(frame, value, active);
+                let diverged = iter_lanes(v.mask)
+                    .filter(|&lane| !self.state.regs.vals[v.at][lane].bits_eq(&value.value))
+                    .fold(0u64, |m, lane| m | 1u64 << lane);
+                self.retire_unresolved(diverged, UnresolvedReason::ControlDivergence);
             }
         }
     }
@@ -1114,12 +1146,18 @@ impl<'t> ReplayEngine<'t> {
     /// `start`) in one walk, appending one [`PropagationResult`] per lane to
     /// `out` in lane order.
     ///
-    /// Lanes must be sorted by ascending `start` and there can be at most
+    /// Lanes must be sorted by ascending `start` (checked: window
+    /// retirement relies on it) and there can be at most
     /// [`MAX_REPLAY_LANES`] of them.  Lanes activate when the walk reaches
     /// their start and retire individually; when no lane is live the walk
     /// skips straight to the next start.  Lanes the walk never reaches
     /// (start at/past the trace end, or beyond a poisoned backend's decode
     /// error) meet the end-of-trace rule with nothing examined.
+    ///
+    /// # Panics
+    ///
+    /// If the batch holds more than [`MAX_REPLAY_LANES`] lanes or is not
+    /// sorted by start.
     pub fn replay_lanes(
         &mut self,
         batch: &[BatchLane],
@@ -1130,12 +1168,13 @@ impl<'t> ReplayEngine<'t> {
             batch.len() <= MAX_REPLAY_LANES,
             "at most {MAX_REPLAY_LANES} lanes per batch"
         );
-        debug_assert!(
+        assert!(
             batch.windows(2).all(|w| w[0].start <= w[1].start),
             "batch lanes must be sorted by start"
         );
         self.state.clear();
         let n = batch.len();
+        let k = k as u64;
         let mut results: Vec<Option<PropagationResult>> = vec![None; n];
         let mut starts = [0u64; MAX_REPLAY_LANES];
         for (i, lane) in batch.iter().enumerate() {
@@ -1149,13 +1188,16 @@ impl<'t> ReplayEngine<'t> {
                 state: &mut self.state,
                 results: &mut results,
                 active: 0,
-                scratch_masks: Vec::new(),
+                scratch_args: Vec::new(),
                 scratch_vals: Vec::new(),
             };
             let mut next_pending = 0usize;
             while next_pending < n && walk.results[next_pending].is_some() {
                 next_pending += 1;
             }
+            // Lanes before `oldest` have had their window checked to the
+            // end; since starts ascend, windows exhaust in lane order.
+            let mut oldest = 0usize;
             let mut pos = if next_pending < n {
                 starts[next_pending]
             } else {
@@ -1187,19 +1229,28 @@ impl<'t> ReplayEngine<'t> {
                         pos = starts[next_pending];
                         continue 'walk;
                     }
-                    // Per-lane window exhaustion, checked before the record
-                    // is examined (handles k = 0 like the scalar oracle).
-                    for lane in iter_lanes(walk.active) {
-                        if pos - starts[lane] >= k as u64 {
-                            walk.retire_unresolved(lane, UnresolvedReason::WindowExhausted);
-                        }
+                    // Window exhaustion, checked before the record is
+                    // examined (handles k = 0 like the scalar oracle).  The
+                    // exhausted lanes are a prefix of the activated ones.
+                    let mut exhausted = 0u64;
+                    while oldest < next_pending && pos - starts[oldest] >= k {
+                        exhausted |= 1u64 << oldest;
+                        oldest += 1;
                     }
+                    walk.retire_unresolved(
+                        exhausted & walk.active,
+                        UnresolvedReason::WindowExhausted,
+                    );
                     if walk.active != 0 {
+                        walk.state.dropped = 0;
                         walk.step(rec);
-                        // Lanes with no live bits anywhere fully masked out.
-                        let clean = walk.active & !walk.state.union_mask();
-                        for lane in iter_lanes(clean) {
-                            walk.retire_masked(lane, (pos + 1 - starts[lane]) as usize);
+                        // Only lanes that lost a bit can have fully masked
+                        // out, and only then is the union worth computing.
+                        let dropped = walk.state.dropped & walk.active;
+                        if dropped != 0 {
+                            for lane in iter_lanes(dropped & !walk.state.union_mask()) {
+                                walk.retire_masked(lane, (pos + 1 - starts[lane]) as usize);
+                            }
                         }
                     }
                     pos += 1;
@@ -1217,20 +1268,11 @@ impl<'t> ReplayEngine<'t> {
             // Trace ended (or the backend poisoned itself) with lanes still
             // live: same verdict rule as the scalar oracle — only corrupted
             // *memory* survives the end of the trace.
-            let mem_live = walk.state.mem_union_mask();
-            for lane in iter_lanes(walk.active) {
-                let examined = (pos - starts[lane]) as usize;
-                walk.results[lane] = Some(if mem_live >> lane & 1 == 0 {
-                    PropagationResult::AllMasked {
-                        ops_examined: examined,
-                    }
-                } else {
-                    PropagationResult::Unresolved {
-                        reason: UnresolvedReason::TraceEnded,
-                        live_locations: walk.state.live_count(lane),
-                    }
-                });
+            let mem_live = walk.state.mem.union_mask();
+            for lane in iter_lanes(walk.active & !mem_live) {
+                walk.retire_masked(lane, (pos - starts[lane]) as usize);
             }
+            walk.retire_unresolved(walk.active, UnresolvedReason::TraceEnded);
         }
         out.extend(results.into_iter().map(|r| r.expect("lane resolved")));
     }
@@ -1752,5 +1794,211 @@ mod tests {
             }
         }
         assert!(max_lanes > MAX_REPLAY_LANES, "population fills a batch");
+    }
+
+    /// A fixture for the engine's shared-entry paths: a divisor that one bit
+    /// flip turns to zero (one lane traps while its siblings write the same
+    /// quotient), self-updates `x = x & 0xff` and `s = s + r` whose
+    /// destination is also an operand (high-bit lanes go clean and drop
+    /// their bit while low-bit lanes still read the entry), a call/return
+    /// pair, an intrinsic, a select, a switch, indexed loads and stores, and
+    /// a returned value.
+    fn lane_edge_module() -> Module {
+        let mut m = Module::new("lane_edge");
+        let d = m.add_global(Global::from_i64("d", &[1, 1, 3, 1]));
+        let x = m.add_global(Global::from_i64("x", &[40, 7, -5, 300]));
+        let sel = m.add_global(Global::from_i64("sel", &[2]));
+        let acc = m.add_global(Global::zeroed("acc", Type::I64, 1));
+        let out = m.add_global(Global::zeroed("out", Type::F64, 2));
+        // i64 pick(i64 a, i64 b) { return smax(a, b); }
+        let mut pick = FunctionBuilder::new("pick", &[Type::I64, Type::I64], Some(Type::I64));
+        let (a, b) = (pick.param(0), pick.param(1));
+        let mx = pick.intrinsic(
+            Intrinsic::SMax,
+            &[Operand::Reg(a), Operand::Reg(b)],
+            Type::I64,
+        );
+        pick.ret(Some(Operand::Reg(mx)));
+        let pick = m.add_function(pick.finish());
+
+        let mut f = FunctionBuilder::new("main", &[], Some(Type::I64));
+        let s = f.alloc_reg(Type::I64);
+        f.mov(s, Operand::const_i64(0));
+        f.for_loop(Operand::const_i64(0), Operand::const_i64(4), |f, i| {
+            let di = f.load_elem(Type::I64, d, Operand::Reg(i));
+            let xi = f.load_elem(Type::I64, x, Operand::Reg(i));
+            let q = f.sdiv(Operand::Reg(xi), Operand::Reg(di));
+            f.push(Inst::Bin {
+                op: BinOp::And,
+                ty: Type::I64,
+                lhs: Operand::Reg(xi),
+                rhs: Operand::const_i64(0xff),
+                dst: xi,
+            });
+            let r = f
+                .call(pick, &[Operand::Reg(q), Operand::Reg(xi)], Some(Type::I64))
+                .unwrap();
+            f.push(Inst::Bin {
+                op: BinOp::Add,
+                ty: Type::I64,
+                lhs: Operand::Reg(s),
+                rhs: Operand::Reg(r),
+                dst: s,
+            });
+            let c = f.cmp(CmpPred::Sgt, Operand::Reg(r), Operand::const_i64(100));
+            let v = f.select(Type::I64, Operand::Reg(c), Operand::Reg(r), Operand::Reg(q));
+            f.store_elem(Type::I64, acc, Operand::const_i64(0), Operand::Reg(v));
+        });
+        let v = f.load_elem(Type::I64, sel, Operand::const_i64(0));
+        let (b0, b1, join) = (f.new_block("c0"), f.new_block("c2"), f.new_block("join"));
+        f.terminate(Terminator::Switch {
+            value: Operand::Reg(v),
+            cases: vec![(0, b0), (2, b1)],
+            default: join,
+        });
+        for (block, value) in [(b0, 1.0), (b1, 2.0)] {
+            f.switch_to(block);
+            f.store_elem(
+                Type::F64,
+                out,
+                Operand::const_i64(1),
+                Operand::const_f64(value),
+            );
+            f.terminate(Terminator::Br { target: join });
+        }
+        f.switch_to(join);
+        let sf = f.sitofp(Operand::Reg(s));
+        let root = f.sqrt(Operand::Reg(sf));
+        f.store_elem(Type::F64, out, Operand::const_i64(0), Operand::Reg(root));
+        f.ret(Some(Operand::Reg(s)));
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+        m
+    }
+
+    #[test]
+    fn batched_replay_shares_entries_bit_identically() {
+        let m = lane_edge_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let words: Vec<u64> = trace
+            .iter()
+            .filter_map(|r| match &r.op {
+                TraceOp::Store { addr, .. } => Some(*addr),
+                _ => None,
+            })
+            .collect();
+        // Several lanes per record share a start, one per flipped bit (a
+        // high bit first, so a lane that goes clean precedes lanes still
+        // reading the entry); memory seeds every fifth record and a seed
+        // at start 0 stagger the rest.
+        let mut lanes: Vec<BatchLane> = vec![BatchLane {
+            start: 0,
+            corrupt: vec![CorruptLoc::Mem {
+                addr: words[0],
+                value: Value::I64(-1),
+            }],
+        }];
+        for rec in trace.iter() {
+            let start = rec.id as usize + 1;
+            if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
+                let width = clean.ty().bit_width();
+                for bit in [40u32, 0, 62, 1, 7] {
+                    lanes.push(BatchLane {
+                        start,
+                        corrupt: vec![CorruptLoc::Reg {
+                            frame: rec.frame,
+                            reg: dst,
+                            value: clean.flip_bit(bit % width),
+                        }],
+                    });
+                }
+            }
+            if rec.id % 5 == 2 {
+                let addr = words[rec.id as usize % words.len()];
+                lanes.push(BatchLane {
+                    start,
+                    corrupt: vec![CorruptLoc::Mem {
+                        addr,
+                        value: Value::I64(rec.id as i64),
+                    }],
+                });
+            }
+        }
+        lanes.sort_by_key(|l| l.start);
+
+        let mut seen_masked = false;
+        let mut seen_reasons: Vec<UnresolvedReason> = Vec::new();
+        let mut staggered_exhaustion = false;
+        for data in both_backends(&m) {
+            let mut engine = ReplayEngine::new(&data);
+            for k in [0usize, 1, 3, 10, 50, 100_000] {
+                let sequential: Vec<PropagationResult> = lanes
+                    .iter()
+                    .map(|l| replay(&data, l.start, &l.corrupt, k))
+                    .collect();
+                for result in &sequential {
+                    match result {
+                        PropagationResult::AllMasked { .. } => seen_masked = true,
+                        PropagationResult::Unresolved { reason, .. } => {
+                            if !seen_reasons.contains(reason) {
+                                seen_reasons.push(*reason);
+                            }
+                        }
+                    }
+                }
+                for width in [1usize, 3, 7, 64] {
+                    let mut batched = Vec::new();
+                    for chunk in lanes.chunks(width) {
+                        let from = batched.len();
+                        engine.replay_lanes(chunk, k, &mut batched);
+                        // Windows of one walk exhausting at two or more
+                        // distinct records.
+                        let mut exhausted_starts = chunk
+                            .iter()
+                            .zip(&batched[from..])
+                            .filter(|(_, r)| {
+                                matches!(
+                                    r,
+                                    PropagationResult::Unresolved {
+                                        reason: UnresolvedReason::WindowExhausted,
+                                        ..
+                                    }
+                                )
+                            })
+                            .map(|(l, _)| l.start);
+                        if let Some(first) = exhausted_starts.next() {
+                            staggered_exhaustion |= exhausted_starts.any(|s| s != first);
+                        }
+                    }
+                    assert_eq!(batched, sequential, "k={k} width={width}");
+                }
+            }
+        }
+        assert!(seen_masked, "some lane masks out");
+        for reason in [
+            UnresolvedReason::WindowExhausted,
+            UnresolvedReason::ControlDivergence,
+            UnresolvedReason::AddressDivergence,
+            UnresolvedReason::EvalTrap,
+            UnresolvedReason::TraceEnded,
+        ] {
+            assert!(seen_reasons.contains(&reason), "{reason:?} never occurs");
+        }
+        assert!(staggered_exhaustion, "windows exhaust in several groups");
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by start")]
+    fn unsorted_batch_is_rejected() {
+        let m = overwrite_later_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let lane = |start| BatchLane {
+            start,
+            corrupt: vec![CorruptLoc::Mem {
+                addr: 0x1000,
+                value: Value::F64(1.5),
+            }],
+        };
+        ReplayEngine::new(&trace).replay_lanes(&[lane(3), lane(1)], 50, &mut Vec::new());
     }
 }

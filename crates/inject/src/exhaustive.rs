@@ -15,7 +15,7 @@
 use crate::campaign::{run_campaign_stats, Parallelism};
 use crate::injector::DeterministicInjector;
 use crate::stats::CampaignStats;
-use moard_core::{ErrorPatternSet, ParticipationSite};
+use moard_core::{ErrorPatternSet, ParticipationSite, PatternLists};
 use moard_vm::FaultSpec;
 
 /// Configuration of an exhaustive campaign.
@@ -49,14 +49,14 @@ impl Default for ExhaustiveConfig {
 pub fn enumerate_faults(sites: &[ParticipationSite], config: &ExhaustiveConfig) -> Vec<FaultSpec> {
     let site_stride = config.site_stride.max(1);
     let pattern_stride = config.pattern_stride.max(1);
+    let mut pattern_lists = PatternLists::new(&config.patterns);
     let mut faults = Vec::new();
     for (i, site) in sites.iter().enumerate() {
         if i % site_stride != 0 {
             continue;
         }
-        for pattern in config
-            .patterns
-            .patterns_for(site.value.ty())
+        for pattern in pattern_lists
+            .get(site.value.ty())
             .iter()
             .step_by(pattern_stride)
         {
